@@ -9,7 +9,7 @@ built-in Lindblad and Krylov reference solvers.
 __version__ = "0.1.0"
 
 from .hilbert import HilbertLayout, apply_local, basis_state, embed
-from .isa import Circuit, GateOp, gate_matrix
+from .isa import GateOp, gate_matrix
 from .model import (ChromophoreParams, EffectiveParams, SpinBosonParams,
                     build_hamiltonian_terms, default_params, derive_effective,
                     lindblad_rates)
@@ -22,7 +22,7 @@ from .presets import ExperimentSpec, preset
 
 __all__ = [
     "HilbertLayout", "apply_local", "basis_state", "embed",
-    "Circuit", "GateOp", "gate_matrix",
+    "GateOp", "gate_matrix",
     "ChromophoreParams", "EffectiveParams", "SpinBosonParams",
     "build_hamiltonian_terms", "default_params", "derive_effective",
     "lindblad_rates",

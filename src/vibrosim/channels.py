@@ -23,12 +23,10 @@ import math
 
 import numpy as np
 
+from .hilbert import SX, SZ
 from .isa import GateOp
 
 CHANNEL_KINDS = ("amp", "exc", "dep")
-
-_SX = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-_SZ = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
 
 def jump_probability(channel: str, gamma: float, t: float) -> float:
@@ -71,8 +69,8 @@ def kraus_ops(channel: str, p: float) -> list[np.ndarray]:
         return [np.array([[0, sq], [0, 0]], dtype=np.complex128),
                 np.array([[1, 0], [0, sr]], dtype=np.complex128)]
     if channel == "exc":
-        return [_SX @ k @ _SX for k in kraus_ops("amp", p)]
-    return [sq * _SZ.astype(np.complex128), sr * np.eye(2, dtype=np.complex128)]
+        return [SX @ k @ SX for k in kraus_ops("amp", p)]
+    return [sq * SZ, sr * np.eye(2, dtype=np.complex128)]
 
 
 def apply_channel_dm(kraus, rho: np.ndarray) -> np.ndarray:

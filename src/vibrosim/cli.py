@@ -65,10 +65,25 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _three_site_flags(args):
+    """(flag, value) of every option only the three-site model reads."""
+    yield "--config", args.config
+    yield "--fock", args.fock
+    for kind in ("amp", "dep"):
+        for s in ("all",) + model.SITES:
+            yield f"--gamma-{kind}-{s}", getattr(args, f"gamma_{kind}_{s}")
+
+
 def _resolve_spec(args) -> presets.ExperimentSpec:
     if not args.preset:
         raise ConfigError("--preset is required unless --resources is used")
     spec = presets.preset(args.preset)
+    if spec.kind == "spin_boson":
+        ignored = [flag for flag, val in _three_site_flags(args)
+                   if val is not None]
+        if ignored:
+            raise ConfigError(f"--preset {args.preset} does not use "
+                              f"{', '.join(ignored)}")
     if args.config:
         try:
             spec.params = model.ChromophoreParams.from_json(args.config)

@@ -1,12 +1,15 @@
 """Shot-sampled execution of compiled Trotter programs.
 
-Each Monte-Carlo shot is a pure-state trajectory: unitary gates are
-applied deterministically, dilation measurements and stochastic hardware
-noise collapse the state according to per-shot random streams.  Shots are
-executed in vectorized batches (states stored column-wise), which changes
-nothing statistically because every shot consumes its own named random
-streams in a fixed event order -- results are reproducible for a given
-seed regardless of batch size or thread count.
+Each Monte-Carlo shot is a pure-state trajectory, one quantum-jump
+unravelling of the step's channel: unitary gates are applied
+deterministically, dilation measurements and stochastic hardware noise
+collapse the state according to per-shot random streams.  One loop,
+``_Executor.trajectories``, advances every trajectory: it runs a
+contiguous range of shots as one vectorized batch (states stored
+column-wise) and yields the batch at t=0 and after every step.  Every shot
+consumes its own named random streams in a fixed event order, so results
+are reproducible for a given seed regardless of batch size or thread
+count, and ``run_shot`` is that loop on a single shot.
 
 Readout: at every recorded step the engine samples one Bernoulli outcome
 per readout qubit from the trajectory's conditional populations without
@@ -14,9 +17,9 @@ collapsing the state.  A fresh run restarted from t=0 and measured
 terminally at that depth would produce the identical joint distribution of
 (dilation record, terminal outcome), so the per-point population
 statistics are exactly those of the terminal-measurement protocol at a
-cost linear (not quadratic) in the number of time points.  Runs with no
-stochastic element at all reduce to a single deterministic trajectory with
-binomially sampled counts.
+cost linear (not quadratic) in the number of time points.  A program with
+no measurement or noise event runs the loop on shot 0 alone and samples
+the counts of all shots binomially from its populations.
 """
 
 from __future__ import annotations
@@ -28,14 +31,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compiler import CompiledProgram
-from .hilbert import apply_local, basis_state, excited_populations, \
-    level_mask, measure_qubit_batch
+from .hilbert import SX, apply_local, basis_state, destroy, \
+    excited_populations, level_mask, measure_qubit_batch
 from .isa import GateOp, MatrixCache, decompose_swap
 
 _STREAM_CHANNEL, _STREAM_NOISE, _STREAM_READOUT = 0, 1, 2
 
-_SX = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-_SZ = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 _LOWER = np.array([[0, 1], [0, 0]], dtype=np.complex128)  # |0><1|
 _RAISE = _LOWER.T.copy()
 
@@ -107,6 +108,7 @@ class PopulationTrace:
 # program lowering
 # ---------------------------------------------------------------------------
 
+
 def inject_noise(ops: list[GateOp], noise: NoiseModel) -> list:
     """Lower a gate list into executable instructions with noise markers.
 
@@ -149,13 +151,6 @@ def _lower_gate(op: GateOp, noise: NoiseModel) -> list:
     return out
 
 
-def _count_events(lowered) -> tuple[int, int]:
-    """(channel-measurement events, noise events) per step."""
-    n_meas = sum(1 for ins in lowered if ins[0] in ("measure", "reset"))
-    n_noise = sum(1 for ins in lowered if ins[0] in ("kraus", "cavity_loss"))
-    return n_meas, n_noise
-
-
 def _shot_generator(seed: int, shot: int, stream: int) -> np.random.Generator:
     """Counter-based per-shot named stream, independent of batching order."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(shot, stream))
@@ -166,25 +161,44 @@ def _shot_generator(seed: int, shot: int, stream: int) -> np.random.Generator:
 # execution
 # ---------------------------------------------------------------------------
 
-class _Executor:
-    """Runs one batch of shots through the per-step instruction list."""
+def _uniforms(gens, n_events: int, n_batch: int) -> np.ndarray:
+    """One row of ``n_events`` uniforms per shot, shape (n_batch, n_events)."""
+    if not n_events:
+        return np.empty((n_batch, 0))
+    return np.stack([g.random(n_events) for g in gens])
 
-    def __init__(self, program: CompiledProgram, lowered, noise: NoiseModel):
+
+def _readout(states, program: CompiledProgram, read_gens):
+    """Conditional readout populations ``(n_read, n_batch)`` and one
+    Bernoulli outcome per readout qubit and shot, drawn without collapse."""
+    pops = excited_populations(states, program.layout, program.readout)
+    n_read = len(program.readout)
+    u = np.stack([g.random(n_read) for g in read_gens])
+    return pops, u.T < pops
+
+
+class _Executor:
+    """Advances trajectories of one program under one noise model."""
+
+    def __init__(self, program: CompiledProgram, noise: NoiseModel):
         self.program = program
-        self.lowered = lowered
-        self.noise = noise
+        self.lowered = inject_noise(program.step_ops, noise)
         self.cache = MatrixCache()
         lay = program.layout
         self.masks = {}
-        for ins in lowered:
-            if ins[0] in ("measure", "reset") or ins[0] == "kraus":
-                q = ins[-1]
-                self.masks.setdefault(q, level_mask(lay, q, 1))
-        self.n_meas, self.n_noise = _count_events(lowered)
-        # annihilation operator for cavity-loss events
-        n_fock = max(program.n_fock, 1)
-        self.a_mode = np.diag(
-            np.sqrt(np.arange(1, n_fock)).astype(np.complex128), 1)
+        self.n_meas = self.n_noise = 0   # events per step, by stream
+        for ins in self.lowered:
+            if ins[0] in ("measure", "reset"):
+                self.n_meas += 1
+            elif ins[0] in ("kraus", "cavity_loss"):
+                self.n_noise += 1
+            if ins[0] in ("measure", "reset", "kraus"):
+                self.masks.setdefault(ins[-1], level_mask(lay, ins[-1], 1))
+        self.stochastic = self.n_meas > 0 or self.n_noise > 0
+        psi = basis_state(lay, (0,) * lay.n_subsystems)
+        for op in program.prep_ops:
+            psi = self._apply_gate(psi, op)
+        self.psi0 = psi
         self._nojump_cache: dict[tuple, np.ndarray] = {}
 
     def _apply_gate(self, states, op: GateOp):
@@ -192,7 +206,7 @@ class _Executor:
         return apply_local(states, self.program.layout, mat, op.targets)
 
     def _flip(self, states, qubit):
-        return apply_local(states, self.program.layout, _SX, (qubit,))
+        return apply_local(states, self.program.layout, SX, (qubit,))
 
     def _kraus_qubit(self, states, channel, eps, qubit, u):
         lay = self.program.layout
@@ -240,7 +254,8 @@ class _Executor:
         jump = np.nonzero(u < p)[0]
         out = states * self._nojump_weights(p, mode)
         if jump.size:
-            jumped = apply_local(states[:, jump], lay, self.a_mode, (mode,))
+            jumped = apply_local(states[:, jump], lay,
+                                 destroy(lay.dims[mode]), (mode,))
             jn = np.sqrt(np.sum(np.abs(jumped) ** 2, axis=0))
             # a vacuum-dominated column cannot lose a photon; keep it
             dead = jn < 1e-12
@@ -284,14 +299,25 @@ class _Executor:
                 inoise += 1
         return states
 
+    def trajectories(self, lo: int, hi: int, seed: int, n_steps: int):
+        """Run shots ``[lo, hi)`` as one batch for ``n_steps`` steps.
 
-def _initial_state(program: CompiledProgram) -> np.ndarray:
-    lay = program.layout
-    psi = basis_state(lay, (0,) * lay.n_subsystems)
-    cache = MatrixCache()
-    for op in program.prep_ops:
-        psi = apply_local(psi, lay, cache.get(op, program.n_fock), op.targets)
-    return psi
+        Yields ``(step, states)`` at t=0 and after every step, one column
+        per shot.  Shot ``s`` draws its measurement and noise uniforms from
+        its own named streams, so its trajectory does not depend on the
+        batch it runs in.
+        """
+        nb = hi - lo
+        chan = [_shot_generator(seed, s, _STREAM_CHANNEL)
+                for s in range(lo, hi)] if self.n_meas else []
+        noise = [_shot_generator(seed, s, _STREAM_NOISE)
+                 for s in range(lo, hi)] if self.n_noise else []
+        states = np.repeat(self.psi0[:, None], nb, axis=1)
+        yield 0, states
+        for step in range(1, n_steps + 1):
+            states = self.run_step(states, _uniforms(chan, self.n_meas, nb),
+                                   _uniforms(noise, self.n_noise, nb))
+            yield step, states
 
 
 def run_experiment(program: CompiledProgram, n_steps: int, shots: int,
@@ -306,38 +332,44 @@ def run_experiment(program: CompiledProgram, n_steps: int, shots: int,
     """
     if shots < 1 or n_steps < 0:
         raise ValueError("shots must be >= 1 and n_steps >= 0")
-    noise = noise or NoiseModel()
-    lowered = inject_noise(program.step_ops, noise)
-    executor = _Executor(program, lowered, noise)
+    executor = _Executor(program, noise or NoiseModel())
     record_steps = [s for s in range(1, n_steps + 1) if s % record_every == 0]
     if include_t0:
         record_steps = [0] + record_steps
-    n_points = len(record_steps)
+    row = {s: i for i, s in enumerate(record_steps)}
+    last = record_steps[-1] if record_steps else 0
     n_read = len(program.readout)
-    stochastic = executor.n_meas > 0 or executor.n_noise > 0
+    counts = np.zeros((len(record_steps), n_read), dtype=np.int64)
 
-    counts = np.zeros((n_points, n_read), dtype=np.int64)
-    if not stochastic:
-        counts = _run_deterministic(program, executor, record_steps, shots, seed)
+    if not executor.stochastic:
+        # every shot follows shot 0: sample all shots' counts at once
+        rng = _shot_generator(seed, 0, _STREAM_READOUT)
+        for step, states in executor.trajectories(0, 1, seed, last):
+            if step in row:
+                pops = excited_populations(states, program.layout,
+                                           program.readout)[:, 0]
+                counts[row[step]] = rng.binomial(shots,
+                                                 np.clip(pops, 0.0, 1.0))
     else:
+        def run_chunk(chunk):
+            lo, hi = chunk
+            part = np.zeros_like(counts)
+            read_gens = [_shot_generator(seed, s, _STREAM_READOUT)
+                         for s in range(lo, hi)]
+            for step, states in executor.trajectories(lo, hi, seed, last):
+                if step in row:
+                    _, outcomes = _readout(states, program, read_gens)
+                    part[row[step]] = outcomes.sum(axis=1)
+            return part
+
         batch_cap = max(1, (1 << 22) // program.layout.total_dim)
-        chunks = []
-        start = 0
-        while start < shots:
-            stop = min(shots, start + batch_cap)
-            chunks.append((start, stop))
-            start = stop
+        chunks = [(lo, min(shots, lo + batch_cap))
+                  for lo in range(0, shots, batch_cap)]
         if threads > 1 and len(chunks) > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                for part in pool.map(
-                        lambda c: _run_chunk(program, executor, record_steps,
-                                             c[0], c[1], seed, n_steps),
-                        chunks):
-                    counts += part
+                counts = sum(pool.map(run_chunk, chunks))
         else:
-            for lo, hi in chunks:
-                counts += _run_chunk(program, executor, record_steps,
-                                     lo, hi, seed, n_steps)
+            counts = sum(map(run_chunk, chunks))
 
     p_hat = counts / shots
     se = np.sqrt(p_hat * (1.0 - p_hat) / shots)
@@ -348,88 +380,27 @@ def run_experiment(program: CompiledProgram, n_steps: int, shots: int,
                            labels=labels)
 
 
-def _run_deterministic(program, executor, record_steps, shots, seed):
-    """Noiseless, measurement-free programs: one trajectory, binomial counts."""
-    lay = program.layout
-    psi = _initial_state(program)[:, None]
-    rng = _shot_generator(seed, 0, _STREAM_READOUT)
-    n_read = len(program.readout)
-    counts = np.zeros((len(record_steps), n_read), dtype=np.int64)
-    step = 0
-    empty = np.empty((1, 0))
-    for i, s in enumerate(record_steps):
-        while step < s:
-            psi = executor.run_step(psi, empty, empty)
-            step += 1
-        pops = excited_populations(psi, lay, program.readout)[:, 0]
-        counts[i] = rng.binomial(shots, np.clip(pops, 0.0, 1.0))
-    return counts
-
-
-def _run_chunk(program, executor, record_steps, lo, hi, seed, n_steps):
-    """Run shots [lo, hi) and return their readout counts."""
-    lay = program.layout
-    nb = hi - lo
-    states = np.repeat(_initial_state(program)[:, None], nb, axis=1)
-    chan_gens = [_shot_generator(seed, s, _STREAM_CHANNEL) for s in range(lo, hi)]
-    noise_gens = [_shot_generator(seed, s, _STREAM_NOISE) for s in range(lo, hi)]
-    read_gens = [_shot_generator(seed, s, _STREAM_READOUT) for s in range(lo, hi)]
-    n_read = len(program.readout)
-    counts = np.zeros((len(record_steps), n_read), dtype=np.int64)
-    rec = {s: i for i, s in enumerate(record_steps)}
-
-    def record(step, states):
-        i = rec.get(step)
-        if i is None:
-            return
-        pops = excited_populations(states, lay, program.readout)  # (n_read, nb)
-        u = np.stack([g.random(n_read) for g in read_gens])       # (nb, n_read)
-        counts[i] += (u.T < pops).sum(axis=1)
-
-    record(0, states)
-    for step in range(1, n_steps + 1):
-        if executor.n_meas:
-            chan_u = np.stack([g.random(executor.n_meas) for g in chan_gens])
-        else:
-            chan_u = np.empty((nb, 0))
-        if executor.n_noise:
-            noise_u = np.stack([g.random(executor.n_noise) for g in noise_gens])
-        else:
-            noise_u = np.empty((nb, 0))
-        states = executor.run_step(states, chan_u, noise_u)
-        record(step, states)
-    return counts
-
-
 def run_shot(program: CompiledProgram, n_steps: int, seed: int,
              shot_index: int = 0, noise: NoiseModel | None = None) -> dict:
-    """Run a single trajectory and return its per-step record.
+    """Run trajectory ``shot_index`` on its own and return its record.
 
-    The record holds the sampled readout outcomes and conditional
-    populations after every step; useful for debugging and for tests that
-    need trajectory-level access.
+    This is the loop of :func:`run_experiment` on the single shot
+    ``[shot_index, shot_index + 1)`` without the t=0 point.  The record
+    holds, after every step, the conditional readout populations
+    (``"populations"``, shape ``(n_steps, n_read)``) and the sampled
+    outcomes (``"outcomes"``), plus ``"final_state"``.  For a program with
+    measurement or noise events, summing ``"outcomes"`` over all shot
+    indices gives the counts of ``run_experiment(..., include_t0=False)``
+    at the same seed.
     """
-    noise = noise or NoiseModel()
-    lowered = inject_noise(program.step_ops, noise)
-    executor = _Executor(program, lowered, noise)
-    lay = program.layout
-    states = _initial_state(program)[:, None]
-    chan_gen = _shot_generator(seed, shot_index, _STREAM_CHANNEL)
-    noise_gen = _shot_generator(seed, shot_index, _STREAM_NOISE)
-    read_gen = _shot_generator(seed, shot_index, _STREAM_READOUT)
-    n_read = len(program.readout)
-    record = {"populations": [], "outcomes": []}
-    for _ in range(n_steps):
-        chan_u = chan_gen.random(executor.n_meas)[None, :] \
-            if executor.n_meas else np.empty((1, 0))
-        noise_u = noise_gen.random(executor.n_noise)[None, :] \
-            if executor.n_noise else np.empty((1, 0))
-        states = executor.run_step(states, chan_u, noise_u)
-        pops = excited_populations(states, lay, program.readout)[:, 0]
-        u = read_gen.random(n_read)
-        record["populations"].append(pops)
-        record["outcomes"].append((u < pops).astype(int))
-    record["populations"] = np.array(record["populations"])
-    record["outcomes"] = np.array(record["outcomes"])
-    record["final_state"] = states[:, 0]
-    return record
+    executor = _Executor(program, noise or NoiseModel())
+    read_gens = [_shot_generator(seed, shot_index, _STREAM_READOUT)]
+    pops, outcomes = [], []
+    for step, states in executor.trajectories(shot_index, shot_index + 1,
+                                              seed, n_steps):
+        if step:
+            p, out = _readout(states, program, read_gens)
+            pops.append(p[:, 0])
+            outcomes.append(out[:, 0].astype(int))
+    return {"populations": np.array(pops), "outcomes": np.array(outcomes),
+            "final_state": states[:, 0]}

@@ -20,6 +20,23 @@ import numpy as np
 import scipy.sparse as sp
 
 
+def _constant(rows) -> np.ndarray:
+    mat = np.array(rows, dtype=np.complex128)
+    mat.setflags(write=False)
+    return mat
+
+
+#: Pauli matrices in the computational basis (|0>, |1>); read-only
+SX = _constant([[0, 1], [1, 0]])
+SY = _constant([[0, -1j], [1j, 0]])
+SZ = _constant([[1, 0], [0, -1]])
+
+
+def destroy(n: int) -> np.ndarray:
+    """Annihilation operator on a Fock space truncated at ``n`` levels."""
+    return np.diag(np.sqrt(np.arange(1, n)).astype(np.complex128), k=1)
+
+
 @dataclass(frozen=True)
 class HilbertLayout:
     """Ordered subsystem layout of a hybrid register.
@@ -54,9 +71,6 @@ class HilbertLayout:
     def index(self, label: str) -> int:
         """Subsystem index for a label."""
         return self.labels.index(label)
-
-    def qubit_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, d in enumerate(self.dims) if d == 2)
 
 
 def basis_state(layout: HilbertLayout, occupations) -> np.ndarray:
@@ -173,34 +187,6 @@ def excited_populations(state: np.ndarray, layout: HilbertLayout,
     prob = np.abs(state) ** 2
     out = [level_mask(layout, t, 1) @ prob for t in targets]
     return np.array(out)
-
-
-def measure_qubit(state: np.ndarray, layout: HilbertLayout, target: int,
-                  rng: np.random.Generator):
-    """Projectively measure one qubit of a single state.
-
-    Returns:
-        (outcome, collapsed_state, p_excited) where outcome is 0 or 1 and
-        the collapsed state is renormalized.
-    """
-    mask = level_mask(layout, target, 1)
-    p1 = float(mask @ (np.abs(state) ** 2))
-    outcome = int(rng.random() < p1)
-    collapsed = np.where(mask == bool(outcome), state, 0.0)
-    norm = np.linalg.norm(collapsed)
-    if norm == 0.0:
-        raise FloatingPointError("measurement collapsed onto a zero branch")
-    return outcome, collapsed / norm, p1
-
-
-def reset_qubit(state: np.ndarray, layout: HilbertLayout, target: int,
-                rng: np.random.Generator) -> np.ndarray:
-    """Measure a qubit and classically flip it to |0> if needed."""
-    outcome, collapsed, _ = measure_qubit(state, layout, target, rng)
-    if outcome == 1:
-        flip = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-        collapsed = apply_local(collapsed, layout, flip, (target,))
-    return collapsed
 
 
 def measure_qubit_batch(states: np.ndarray, mask: np.ndarray,

@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .hilbert import HilbertLayout
+from .hilbert import SX, SY, SZ, destroy
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
@@ -59,9 +59,6 @@ GATE_ARITY = {
 TWO_QUBIT_KINDS = {"CNOT", "SWAP", "CZ", "CRY", "RXX", "RYY"}
 
 _I2 = np.eye(2, dtype=np.complex128)
-_SX = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-_SY = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
-_SZ = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
 
 def _normalize_params(kind: str, params: tuple) -> tuple:
@@ -106,26 +103,12 @@ class GateOp:
                              f"got {self.targets}")
         if npar >= 0 and len(self.params) != npar:
             raise ValueError(f"{self.kind} expects {npar} params, got {self.params}")
-        object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
+        targets = tuple(int(t) for t in self.targets)
+        if len(set(targets)) != len(targets):
+            raise ValueError(f"{self.kind} has duplicate targets {targets}")
+        object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "params",
                            _normalize_params(self.kind, tuple(self.params)))
-
-
-@dataclass
-class Circuit:
-    """A gate list over a fixed register layout."""
-
-    layout: HilbertLayout
-    ops: list[GateOp] = field(default_factory=list)
-
-    def append(self, kind: str, targets, params=(), tag: str = "") -> None:
-        self.ops.append(GateOp(kind, tuple(targets), tuple(params), tag))
-
-    def extend(self, ops) -> None:
-        self.ops.extend(ops)
-
-    def __len__(self) -> int:
-        return len(self.ops)
 
 
 # ---------------------------------------------------------------------------
@@ -137,12 +120,8 @@ def _rot(generator: np.ndarray, theta: float) -> np.ndarray:
     return scipy.linalg.expm(half * generator)
 
 
-def _destroy(n: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1, n)).astype(np.complex128), k=1)
-
-
 def _displacement(beta: complex, n_fock: int) -> np.ndarray:
-    a = _destroy(n_fock)
+    a = destroy(n_fock)
     return scipy.linalg.expm(beta * a.conj().T - np.conj(beta) * a)
 
 
@@ -162,32 +141,32 @@ def gate_matrix(op: GateOp, n_fock: int = 0) -> np.ndarray:
     """
     kind, p = op.kind, op.params
     if kind == "RX":
-        return _rot(_SX, p[0])
+        return _rot(SX, p[0])
     if kind == "RY":
-        return _rot(_SY, p[0])
+        return _rot(SY, p[0])
     if kind == "RZ":
-        return _rot(_SZ, p[0])
+        return _rot(SZ, p[0])
     if kind == "X":
-        return _SX.copy()
+        return SX.copy()
     if kind == "Z":
-        return _SZ.copy()
+        return SZ.copy()
     if kind == "H":
         # native realization: H = X . Ry(pi/2)
-        return _SX @ _rot(_SY, math.pi / 2)
+        return SX @ _rot(SY, math.pi / 2)
     if kind == "CNOT":
-        return _controlled(_I2, _SX)
+        return _controlled(_I2, SX)
     if kind == "CZ":
         return np.diag([1, 1, 1, -1]).astype(np.complex128)
     if kind == "CRY":
-        return _controlled(_I2, _rot(_SY, p[0]))
+        return _controlled(_I2, _rot(SY, p[0]))
     if kind == "SWAP":
         m = np.eye(4, dtype=np.complex128)
         m[[1, 2]] = m[[2, 1]]
         return m
     if kind == "RXX":
-        return _rot(np.kron(_SX, _SX), p[0])
+        return _rot(np.kron(SX, SX), p[0])
     if kind == "RYY":
-        return _rot(np.kron(_SY, _SY), p[0])
+        return _rot(np.kron(SY, SY), p[0])
 
     if n_fock < 2:
         raise ValueError(f"{kind} requires a Fock cutoff")
@@ -201,7 +180,7 @@ def gate_matrix(op: GateOp, n_fock: int = 0) -> np.ndarray:
         return np.diag(np.exp(-1j * phases))
     if kind == "BS":
         theta, phi = p
-        a = _destroy(n_fock)
+        a = destroy(n_fock)
         ad = a.conj().T
         gen = (cmath.exp(1j * phi) * np.kron(ad, a)
                + cmath.exp(-1j * phi) * np.kron(a, ad))
@@ -296,13 +275,14 @@ def circuit_from_text(text: str) -> list[GateOp]:
 def decompose_cnot_cavity_only() -> list[GateOp]:
     """Gate template of one CNOT in the cavity-only (dual-rail) mapping.
 
-    Four beam-splitter gates between adjacent cavities plus four
-    conditional displacements.  Used only for resource accounting of the
-    alternative architecture; the primary architecture treats CNOT as
-    native, so this template is never executed.
+    Four beam-splitter gates between adjacent cavities 1 and 2 plus four
+    conditional displacements of cavity 1 controlled by transmon 0.  Used
+    only for resource accounting of the alternative architecture; the
+    primary architecture treats CNOT as native, so this template is never
+    executed.
     """
     ops = []
     for _ in range(4):
-        ops.append(GateOp("BS", (0, 1), (math.pi / 2, 0.0), tag="cnot-dual-rail"))
-        ops.append(GateOp("CD", (0, 0), (0.1,), tag="cnot-dual-rail"))
+        ops.append(GateOp("BS", (1, 2), (math.pi / 2, 0.0), tag="cnot-dual-rail"))
+        ops.append(GateOp("CD", (0, 1), (0.1,), tag="cnot-dual-rail"))
     return ops

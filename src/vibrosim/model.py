@@ -26,7 +26,7 @@ from importlib import resources
 import numpy as np
 import scipy.sparse as sp
 
-from .hilbert import HilbertLayout, embed
+from .hilbert import SX, SY, SZ, HilbertLayout, destroy, embed
 
 C_CM_PER_S = 2.998e10          # speed of light, cm/s
 HBAR_EV_S = 6.582e-16          # hbar, eV*s
@@ -203,17 +203,12 @@ def three_site_layout(n_fock: int) -> HilbertLayout:
                          labels=THREE_SITE_LABELS)
 
 
-_SX = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-_SY = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
-_SZ = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-
-
 def _num(n_fock: int) -> np.ndarray:
     return np.diag(np.arange(n_fock).astype(np.complex128))
 
 def _quad(n_fock: int) -> np.ndarray:
     """b + b^dagger on the truncated space."""
-    a = np.diag(np.sqrt(np.arange(1, n_fock)).astype(np.complex128), k=1)
+    a = destroy(n_fock)
     return a + a.conj().T
 
 
@@ -245,16 +240,16 @@ def build_hamiltonian_terms(ep: EffectiveParams, n_fock: int,
 
     h0 = sum(mode_omega[s] * emb(num, (m[s],)) for s in SITES)
     h0 = h0 + ep.omega_l * emb(num, (ml,))
-    h0 = h0 - 0.5 * ep.delta_ab * emb(_SZ, (q["b"],))
-    h0 = h0 - 0.5 * ep.delta_ac * emb(_SZ, (q["c"],))
+    h0 = h0 - 0.5 * ep.delta_ab * emb(SZ, (q["b"],))
+    h0 = h0 - 0.5 * ep.delta_ac * emb(SZ, (q["c"],))
 
     h1 = sp.csr_matrix((lay.total_dim, lay.total_dim), dtype=np.complex128)
     for s in SITES:
-        h1 = h1 - 0.5 * chi[s] * emb(np.kron(_SZ, num), (q[s], m[s]))
-        h1 = h1 + 0.5 * g_cd[s] * emb(np.kron(_SZ, quad), (q[s], m[s]))
+        h1 = h1 - 0.5 * chi[s] * emb(np.kron(SZ, num), (q[s], m[s]))
+        h1 = h1 + 0.5 * g_cd[s] * emb(np.kron(SZ, quad), (q[s], m[s]))
 
     lcoef = ep.g_cd_l / (4.0 if lowfreq_split == "printed" else 2.0)
-    lterm = lcoef * emb(np.kron(_SZ, quad), (q["a"], ml))
+    lterm = lcoef * emb(np.kron(SZ, quad), (q["a"], ml))
 
     def pair_terms(pauli):
         pp = np.kron(pauli, pauli)
@@ -264,115 +259,14 @@ def build_hamiltonian_terms(ep: EffectiveParams, n_fock: int,
              + 0.5 * ep.g_acl * emb(np.kron(pp, quad), (q["a"], q["c"], ml)))
         return t
 
-    h2xx = lterm + pair_terms(_SX)
-    h2yy = lterm + pair_terms(_SY)
+    h2xx = lterm + pair_terms(SX)
+    h2yy = lterm + pair_terms(SY)
     return {"h0": h0.tocsr(), "h1": h1.tocsr(),
             "h2xx": h2xx.tocsr(), "h2yy": h2yy.tocsr(), "layout": lay}
 
 
 def total_hamiltonian(terms: dict) -> sp.csr_matrix:
     return (terms["h0"] + terms["h1"] + terms["h2xx"] + terms["h2yy"]).tocsr()
-
-
-# ---------------------------------------------------------------------------
-# multisite generalization
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MultiSiteParams:
-    """Effective coefficients of a 1D chromophore array (sites 0..n-1).
-
-    Boundary sites carry no low-frequency mode (``site_omega1`` entry 0 and
-    no modulated edges).  ``edge_g[(i, j)]`` is the bare flip-flop coupling
-    of the nearest-neighbour edge as seen from site i;
-    ``edge_g_mode[(i, j)]`` is its modulation by site i's own low-frequency
-    mode.  Per-site terms are halved where the per-site sum double-counts.
-    """
-
-    n_sites: int
-    site_omega0: tuple[float, ...]
-    site_omega1: tuple[float, ...]
-    site_omega_q: tuple[float, ...]
-    site_chi: tuple[float, ...]
-    site_g_cd0: tuple[float, ...]
-    site_g_cd1: tuple[float, ...]
-    edge_g: dict
-    edge_g_mode: dict
-
-    def has_low_mode(self, site: int) -> bool:
-        return 0 < site < self.n_sites - 1
-
-
-def multisite_from_effective(ep: EffectiveParams) -> MultiSiteParams:
-    """Map the three-site effective parameters onto the array form.
-
-    Site order along the chain is (B, A, C): only the middle site carries
-    the shared low-frequency mode.  Its modulated-edge coefficients are
-    doubled so that the per-site sum (which halves every edge term but has
-    no partner contribution from the modeless boundary sites) reproduces
-    the three-site Hamiltonian exactly.
-    """
-    return MultiSiteParams(
-        n_sites=3,
-        site_omega0=(ep.omega_b, ep.omega_a, ep.omega_c),
-        site_omega1=(0.0, ep.omega_l, 0.0),
-        site_omega_q=(ep.delta_ab, 0.0, ep.delta_ac),
-        site_chi=(ep.chi_b, ep.chi_a, ep.chi_c),
-        site_g_cd0=(ep.g_cd_b, ep.g_cd_a, ep.g_cd_c),
-        site_g_cd1=(0.0, ep.g_cd_l, 0.0),
-        edge_g={(0, 1): ep.g_ab, (1, 0): ep.g_ab,
-                (1, 2): ep.g_ac, (2, 1): ep.g_ac},
-        edge_g_mode={(1, 0): 2.0 * ep.g_abl, (1, 2): 2.0 * ep.g_acl},
-    )
-
-
-def multisite_layout(msp: MultiSiteParams, n_fock: int) -> HilbertLayout:
-    """Qubits per site, ancilla qubits for middle sites, then the modes."""
-    labels = [f"q{i}" for i in range(msp.n_sites)]
-    labels += [f"anc{i}" for i in range(msp.n_sites) if msp.has_low_mode(i)]
-    labels += [f"m0_{i}" for i in range(msp.n_sites)]
-    labels += [f"m1_{i}" for i in range(msp.n_sites) if msp.has_low_mode(i)]
-    n_qubits = len([l for l in labels if l.startswith(("q", "anc"))])
-    dims = (2,) * n_qubits + (n_fock,) * (len(labels) - n_qubits)
-    return HilbertLayout(dims=dims, labels=tuple(labels))
-
-
-def build_multisite_terms(msp: MultiSiteParams, n_fock: int) -> dict:
-    """Per-site Hamiltonian groups summed over the array (sparse)."""
-    lay = multisite_layout(msp, n_fock)
-    num = _num(n_fock)
-    quad = _quad(n_fock)
-    sp_plus = np.array([[0, 1], [0, 0]], dtype=np.complex128)  # sigma^+ = |0><1|
-    zero = sp.csr_matrix((lay.total_dim, lay.total_dim), dtype=np.complex128)
-    h0, h1, h2 = zero.copy(), zero.copy(), zero.copy()
-
-    for i in range(msp.n_sites):
-        qi = lay.index(f"q{i}")
-        m0 = lay.index(f"m0_{i}")
-        h0 = h0 + msp.site_omega0[i] * embed(lay, num, (m0,))
-        h0 = h0 - 0.5 * msp.site_omega_q[i] * embed(lay, _SZ, (qi,))
-        h1 = h1 - 0.5 * msp.site_chi[i] * embed(lay, np.kron(_SZ, num), (qi, m0))
-        h1 = h1 + 0.5 * msp.site_g_cd0[i] * embed(lay, np.kron(_SZ, quad), (qi, m0))
-        if msp.has_low_mode(i):
-            m1 = lay.index(f"m1_{i}")
-            h0 = h0 + msp.site_omega1[i] * embed(lay, num, (m1,))
-            h2 = h2 + 0.5 * msp.site_g_cd1[i] * embed(
-                lay, np.kron(_SZ, quad), (qi, m1))
-        for j in (i - 1, i + 1):
-            if not 0 <= j < msp.n_sites:
-                continue
-            qj = lay.index(f"q{j}")
-            flip = np.kron(sp_plus, sp_plus.conj().T)
-            flip = flip + flip.conj().T
-            g = msp.edge_g.get((i, j), 0.0)
-            if g:
-                h2 = h2 + 0.5 * g * embed(lay, flip, (qi, qj))
-            gm = msp.edge_g_mode.get((i, j), 0.0)
-            if gm and msp.has_low_mode(i):
-                m1 = lay.index(f"m1_{i}")
-                h2 = h2 + 0.5 * gm * embed(lay, np.kron(flip, quad),
-                                           (qi, qj, m1))
-    return {"h0": h0.tocsr(), "h1": h1.tocsr(), "h2": h2.tocsr(), "layout": lay}
 
 
 # ---------------------------------------------------------------------------
@@ -430,4 +324,4 @@ def lindblad_rates(sb: SpinBosonParams) -> dict:
 
 def spin_boson_hamiltonian(sb: SpinBosonParams) -> np.ndarray:
     """System Hamiltonian H_S/hbar = -(E0/hbar) sigma_z in rad/s."""
-    return -(sb.e0 / HBAR_EV_S) * _SZ
+    return -(sb.e0 / HBAR_EV_S) * SZ

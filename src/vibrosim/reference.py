@@ -43,8 +43,9 @@ def lindblad_solve(h: np.ndarray, jumps, rho0: np.ndarray, times,
 
     Jump operators carry their rate inside (L = sqrt(gamma) A).  Step count
     per interval starts at a conservative estimate from the generator
-    scale and doubles until the step-halving difference (trace norm of the
-    endpoint mismatch) drops below ``tol``.
+    scale and doubles until the step-halving difference drops below
+    ``tol``.  The difference is the sum of the absolute entries of the
+    endpoint mismatch, an upper bound on its trace norm.
 
     Returns an array of density matrices, one per grid time (the grid must
     start at the initial time of ``rho0``).

@@ -59,6 +59,15 @@ class TestConfigErrors:
         assert run_cli(["--preset", "fig4", "--out", str(tmp_path),
                         "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("flag", [["--fock", "3"],
+                                      ["--gamma-amp-all", "1e12"],
+                                      ["--gamma-dep-b", "1e12"],
+                                      ["--config", "params.json"]])
+    def test_spin_boson_rejects_three_site_flags(self, tmp_path, flag):
+        assert run_cli(["--preset", "fig3", "--out", str(tmp_path)]
+                       + flag) == 2
+        assert not (tmp_path / "populations.csv").exists()
+
     def test_unknown_preset_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(["--preset", "nope", "--out", "x"])

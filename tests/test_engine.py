@@ -7,7 +7,7 @@ from vibrosim import channels
 from vibrosim.compiler import CompiledProgram, compile_spin_boson_step, compile_step
 from vibrosim.engine import (NoiseModel, inject_noise, run_experiment,
                              run_shot)
-from vibrosim.hilbert import HilbertLayout
+from vibrosim.hilbert import HilbertLayout, excited_populations
 from vibrosim.isa import GateOp
 from vibrosim.model import SpinBosonParams, default_params, derive_effective
 
@@ -17,12 +17,26 @@ def sb_program():
     return compile_spin_boson_step(SpinBosonParams(), 1e-14)
 
 
-def tiny_program(step_ops, prep_ops=None, readout=(0,)):
-    lay = HilbertLayout((2, 2), ("q", "anc"))
+def tiny_program(step_ops, prep_ops=None, readout=(0,), dims=(2, 2)):
+    lay = HilbertLayout(dims)
     return CompiledProgram(layout=lay, n_fock=0, tau=1e-14,
                            prep_ops=prep_ops or [], step_ops=step_ops,
                            forward_ops=step_ops, readout=readout,
                            metadata={"readout_labels": ("1",)})
+
+
+#: Two qubits and an idle 4096-level subsystem: 2^14 amplitudes, so the
+#: engine's batch cap of 2^22 amplitudes runs 520 shots as three batches.
+WIDE_SHOTS = 520
+WIDE_NOISE = NoiseModel(cnot_epsilon=0.05)
+
+
+@pytest.fixture(scope="module")
+def wide_program():
+    ops = [GateOp("RY", (0,), (0.7,)), GateOp("CNOT", (0, 1)),
+           GateOp("RESET", (1,))]
+    return tiny_program(ops, prep_ops=[GateOp("H", (0,))], readout=(0, 1),
+                        dims=(2, 2, 4096))
 
 
 class TestNoiseModel:
@@ -77,10 +91,18 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(sb_program, -1, 10, 0)
 
-    def test_reproducible_across_threads_and_batches(self, sb_program):
+    def test_reproducible_across_threads_and_batches(self, sb_program,
+                                                     wide_program):
         a = run_experiment(sb_program, 10, 300, seed=3, threads=1)
         b = run_experiment(sb_program, 10, 300, seed=3, threads=4)
         assert np.array_equal(a.p, b.p)
+        # three batches, run in order and on two threads
+        a = run_experiment(wide_program, 2, WIDE_SHOTS, seed=3,
+                           noise=WIDE_NOISE, threads=1)
+        b = run_experiment(wide_program, 2, WIDE_SHOTS, seed=3,
+                           noise=WIDE_NOISE, threads=2)
+        assert np.array_equal(a.p, b.p)
+        assert 0.0 < a.p[-1, 0] < 1.0
 
     def test_seed_changes_counts(self, sb_program):
         a = run_experiment(sb_program, 5, 200, seed=1)
@@ -149,9 +171,24 @@ class TestRunShot:
         assert np.isclose(np.linalg.norm(rec["final_state"]), 1.0)
 
     def test_matches_engine_stream_convention(self, sb_program):
-        """A single-shot record reproduces shot 0 of the batched engine."""
-        rec_a = run_shot(sb_program, 30, seed=11, shot_index=0)
-        rec_b = run_shot(sb_program, 30, seed=11, shot_index=0)
-        assert np.array_equal(rec_a["populations"], rec_b["populations"])
-        rec_c = run_shot(sb_program, 30, seed=11, shot_index=1)
-        assert not np.array_equal(rec_a["outcomes"], rec_c["outcomes"])
+        """Single-shot records add up to the counts of the batched engine."""
+        trace = run_experiment(sb_program, 30, 40, seed=11, include_t0=False)
+        outcomes = sum(run_shot(sb_program, 30, seed=11, shot_index=i)
+                       ["outcomes"] for i in range(40))
+        assert np.array_equal(np.rint(trace.p * 40), outcomes)
+
+    def test_matches_split_batches(self, wide_program):
+        trace = run_experiment(wide_program, 2, WIDE_SHOTS, seed=5,
+                               noise=WIDE_NOISE, include_t0=False)
+        outcomes = sum(run_shot(wide_program, 2, seed=5, shot_index=i,
+                                noise=WIDE_NOISE)["outcomes"]
+                       for i in range(WIDE_SHOTS))
+        assert np.array_equal(np.rint(trace.p * WIDE_SHOTS), outcomes)
+
+    def test_reset_leaves_ground_state(self):
+        prog = tiny_program([GateOp("RESET", (0,))],
+                            prep_ops=[GateOp("X", (0,)), GateOp("X", (1,))])
+        lay = prog.layout
+        psi = run_shot(prog, 1, seed=0)["final_state"]
+        assert np.isclose(excited_populations(psi, lay, (0,))[0], 0.0)
+        assert np.isclose(excited_populations(psi, lay, (1,))[0], 1.0)

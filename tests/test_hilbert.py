@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from vibrosim.hilbert import (HilbertLayout, apply_local, basis_state, embed,
                               excited_populations, level_mask,
-                              measure_qubit, measure_qubit_batch, reset_qubit)
+                              measure_qubit_batch)
 
 
 def random_state(layout, rng):
@@ -26,7 +26,6 @@ class TestLayout:
         assert lay.n_subsystems == 3
         assert lay.total_dim == 24
         assert lay.index("m1") == 1
-        assert lay.qubit_indices() == (0,)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -150,28 +149,25 @@ class TestMeasurement:
     def test_measure_collapses_bell_state(self):
         lay = HilbertLayout((2, 2))
         psi = (basis_state(lay, (0, 0)) + basis_state(lay, (1, 1))) / np.sqrt(2)
-        rng = np.random.default_rng(0)
-        outcome, collapsed, p1 = measure_qubit(psi, lay, 0, rng)
-        assert np.isclose(p1, 0.5)
+        # one column per branch: u = 0.25 < p1 reads 1, u = 0.75 reads 0
+        batch = np.stack([psi, psi], axis=1)
+        outcomes, collapsed = measure_qubit_batch(
+            batch, level_mask(lay, 0, 1), np.array([0.25, 0.75]))
+        assert list(outcomes) == [1, 0]
         # the partner qubit is perfectly correlated
         pops = excited_populations(collapsed, lay, (1,))
-        assert np.isclose(pops[0], float(outcome))
-        assert np.isclose(np.linalg.norm(collapsed), 1.0)
+        assert np.allclose(pops[0], outcomes)
+        assert np.allclose(np.linalg.norm(collapsed, axis=0), 1.0)
 
     def test_measure_statistics(self):
         lay = HilbertLayout((2,))
         psi = np.array([np.sqrt(0.3), np.sqrt(0.7)], dtype=np.complex128)
         rng = np.random.default_rng(42)
-        hits = sum(measure_qubit(psi, lay, 0, rng)[0] for _ in range(4000))
+        batch = np.repeat(psi[:, None], 4000, axis=1)
+        outcomes, _ = measure_qubit_batch(batch, level_mask(lay, 0, 1),
+                                          rng.random(4000))
+        hits = outcomes.sum()
         assert abs(hits / 4000 - 0.7) < 3 * np.sqrt(0.7 * 0.3 / 4000)
-
-    def test_reset_leaves_ground_state(self):
-        lay = HilbertLayout((2, 2))
-        psi = basis_state(lay, (1, 1))
-        rng = np.random.default_rng(0)
-        out = reset_qubit(psi, lay, 0, rng)
-        assert np.isclose(excited_populations(out, lay, (0,))[0], 0.0)
-        assert np.isclose(excited_populations(out, lay, (1,))[0], 1.0)
 
     def test_measure_batch_matches_single(self):
         lay = HilbertLayout((2, 2))

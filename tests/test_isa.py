@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vibrosim.isa import (GATE_ARITY, Circuit, GateOp, MatrixCache,
+from vibrosim.isa import (GATE_ARITY, GateOp, MatrixCache,
                           circuit_from_text, circuit_to_text,
                           decompose_cnot_cavity_only, decompose_swap,
                           format_op, gate_matrix, parse_op)
@@ -34,8 +34,8 @@ SAMPLE_OPS = [
     GateOp("R", (0,), (0.6,)),
     GateOp("SNAP", (0,), (0.1, 0.2, 0.3)),
     GateOp("BS", (0, 1), (0.8, 0.5)),
-    GateOp("CD", (0, 0), (0.2 + 0.1j,)),
-    GateOp("CR", (0, 0), (0.4,)),
+    GateOp("CD", (0, 1), (0.2 + 0.1j,)),
+    GateOp("CR", (0, 1), (0.4,)),
 ]
 
 
@@ -47,6 +47,10 @@ class TestGateOpValidation:
     def test_wrong_target_count(self):
         with pytest.raises(ValueError):
             GateOp("CNOT", (0,))
+
+    def test_duplicate_targets(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            GateOp("CNOT", (0, 0))
 
     def test_wrong_param_count(self):
         with pytest.raises(ValueError):
@@ -107,7 +111,7 @@ class TestGateMatrices:
     def test_cd_block_structure(self):
         beta = 0.3 + 0.1j
         n = 6
-        m = gate_matrix(GateOp("CD", (0, 0), (beta,)), n_fock=n)
+        m = gate_matrix(GateOp("CD", (0, 1), (beta,)), n_fock=n)
         d_plus = gate_matrix(GateOp("D", (0,), (beta,)), n_fock=n)
         d_minus = gate_matrix(GateOp("D", (0,), (-beta,)), n_fock=n)
         assert np.allclose(m[:n, :n], d_plus)
@@ -117,7 +121,7 @@ class TestGateMatrices:
     def test_cr_block_structure(self):
         theta = 0.4
         n = 5
-        m = gate_matrix(GateOp("CR", (0, 0), (theta,)), n_fock=n)
+        m = gate_matrix(GateOp("CR", (0, 1), (theta,)), n_fock=n)
         levels = np.arange(n)
         assert np.allclose(np.diag(m)[:n], np.exp(1j * theta * levels))
         assert np.allclose(np.diag(m)[n:], np.exp(-1j * theta * levels))
@@ -196,14 +200,6 @@ class TestTextIR:
 
 
 class TestCircuitAndCache:
-    def test_circuit_append(self):
-        lay = HilbertLayout((2, 2))
-        c = Circuit(lay)
-        c.append("CNOT", (0, 1), tag="t")
-        c.extend([GateOp("X", (0,))])
-        assert len(c) == 2
-        assert c.ops[0].tag == "t"
-
     def test_cache_returns_same_object(self):
         cache = MatrixCache()
         op = GateOp("RZ", (0,), (0.3,))

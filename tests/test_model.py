@@ -9,10 +9,8 @@ import pytest
 from vibrosim import model
 from vibrosim.hilbert import embed
 from vibrosim.model import (ChromophoreParams, SpinBosonParams,
-                            build_hamiltonian_terms, build_multisite_terms,
-                            debye_spectral_density, default_params,
-                            derive_effective, lindblad_rates,
-                            multisite_from_effective, multisite_layout,
+                            build_hamiltonian_terms, debye_spectral_density,
+                            default_params, derive_effective, lindblad_rates,
                             spin_boson_hamiltonian, three_site_layout,
                             total_hamiltonian, wavenumber_to_ev,
                             wavenumber_to_hz)
@@ -129,46 +127,6 @@ class TestThreeSiteHamiltonian:
         assert np.allclose(diff, expected)
         with pytest.raises(ValueError):
             build_hamiltonian_terms(ep, 2, lowfreq_split="bogus")
-
-
-class TestMultiSite:
-    def test_three_site_equivalence(self):
-        """The per-site array form reproduces the trimer Hamiltonian exactly
-        (after permuting subsystems between the two layouts)."""
-        n_fock = 2
-        ep = derive_effective(default_params())
-        trimer = build_hamiltonian_terms(ep, n_fock)
-        msp = multisite_from_effective(ep)
-        array = build_multisite_terms(msp, n_fock)
-
-        lay3 = trimer["layout"]
-        laym = array["layout"]
-        # site order (B, A, C): q0=qb, q1=qa, q2=qc, anc1=anc,
-        # m0_0=mb, m0_1=ma, m0_2=mc, m1_1=ml
-        pairing = {"q0": "qb", "q1": "qa", "q2": "qc", "anc1": "anc",
-                   "m0_0": "mb", "m0_1": "ma", "m0_2": "mc", "m1_1": "ml"}
-        src = [lay3.index(pairing[lbl]) for lbl in laym.labels]
-        # flat index map: array-layout basis index -> trimer basis index
-        grids = np.indices(laym.dims).reshape(laym.n_subsystems, -1)
-        flat3 = np.zeros(laym.total_dim, dtype=np.int64)
-        for pos3, dim in zip(
-                [src.index(i) for i in range(lay3.n_subsystems)], lay3.dims):
-            flat3 = flat3 * dim + grids[pos3]
-        inv = np.argsort(flat3)  # trimer basis index -> array basis index
-
-        h_tri = total_hamiltonian(trimer).toarray()
-        h_arr = (array["h0"] + array["h1"] + array["h2"]).toarray()
-        h_arr_in_tri = h_arr[np.ix_(inv, inv)]
-        scale = abs(h_tri).max()
-        assert abs(h_arr_in_tri - h_tri).max() < 1e-9 * scale
-
-    def test_boundary_sites_have_no_low_mode(self):
-        msp = multisite_from_effective(derive_effective(default_params()))
-        assert not msp.has_low_mode(0)
-        assert msp.has_low_mode(1)
-        assert not msp.has_low_mode(2)
-        lay = multisite_layout(msp, 2)
-        assert "m1_0" not in lay.labels and "m1_2" not in lay.labels
 
 
 class TestSpinBoson:
