@@ -52,9 +52,9 @@ class NoiseModel:
     ``cd_enabled`` attaches noise to every conditional displacement from
     its gate duration ``t_g = |beta| / (alpha * chi)``: qubit damping at
     ``kappa_1q * t_g``, qubit dephasing at ``kappa_phi_q * t_g`` and a
-    cavity single-photon loss with probability ``kappa_1c * t_g`` (the
-    no-loss branch applies the first-order no-jump Kraus, valid for the
-    p <= 1e-4 regime targeted here).
+    cavity single-photon loss with probability ``kappa_1c * t_g`` per
+    photon (the no-loss branch applies the first-order no-jump Kraus,
+    valid for the p <= 1e-4 regime targeted here).
     """
 
     cnot_epsilon: float = 0.0
@@ -199,7 +199,6 @@ class _Executor:
         for op in program.prep_ops:
             psi = self._apply_gate(psi, op)
         self.psi0 = psi
-        self._nojump_cache: dict[tuple, np.ndarray] = {}
 
     def _apply_gate(self, states, op: GateOp):
         mat = self.cache.get(op, self.program.n_fock)
@@ -236,34 +235,24 @@ class _Executor:
         norms = np.where(norms == 0.0, 1.0, norms)
         return out / norms[None, :]
 
-    def _nojump_weights(self, p, mode):
-        """Flattened diagonal of the first-order no-jump Kraus 1 - (p/2) n."""
-        key = (p, mode)
-        w = self._nojump_cache.get(key)
-        if w is None:
-            lay = self.program.layout
-            shape = [1] * lay.n_subsystems
-            shape[mode] = lay.dims[mode]
-            levels = np.arange(lay.dims[mode]).reshape(shape)
-            w = np.broadcast_to(1.0 - 0.5 * p * levels, lay.dims).reshape(-1, 1)
-            self._nojump_cache[key] = w
-        return w
-
     def _cavity_loss(self, states, p, mode, u):
+        """Single-photon loss at probability ``p`` per photon.
+
+        A column jumps (``a``, then renormalized) with probability
+        ``p <n>``; the others take the first-order no-jump Kraus
+        ``1 - (p/2) n``.  The ensemble is the loss channel to O(p^2).
+        """
         lay = self.program.layout
-        jump = np.nonzero(u < p)[0]
-        out = states * self._nojump_weights(p, mode)
+        shape = [1] * lay.n_subsystems
+        shape[mode] = lay.dims[mode]
+        levels = np.broadcast_to(
+            np.arange(lay.dims[mode]).reshape(shape), lay.dims).ravel()
+        jump = np.nonzero(u < p * (levels @ (np.abs(states) ** 2)))[0]
+        out = states * (1.0 - 0.5 * p * levels)[:, None]
         if jump.size:
-            jumped = apply_local(states[:, jump], lay,
-                                 destroy(lay.dims[mode]), (mode,))
-            jn = np.sqrt(np.sum(np.abs(jumped) ** 2, axis=0))
-            # a vacuum-dominated column cannot lose a photon; keep it
-            dead = jn < 1e-12
-            jn = np.where(dead, 1.0, jn)
-            keep = np.nonzero(~dead)[0]
-            out[:, jump[keep]] = jumped[:, keep] / jn[None, keep]
-        sn = np.sqrt(np.sum(np.abs(out) ** 2, axis=0))
-        return out / sn[None, :]
+            out[:, jump] = apply_local(states[:, jump], lay,
+                                       destroy(lay.dims[mode]), (mode,))
+        return out / np.sqrt(np.sum(np.abs(out) ** 2, axis=0))[None, :]
 
     def run_step(self, states, chan_u, noise_u):
         """Advance a batch by one Trotter step.

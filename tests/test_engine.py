@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from vibrosim import channels
-from vibrosim.compiler import CompiledProgram, compile_spin_boson_step, compile_step
+from vibrosim.compiler import (CompiledProgram, compile_spin_boson_step,
+                               compile_step, ops_to_unitary)
 from vibrosim.engine import (NoiseModel, inject_noise, run_experiment,
                              run_shot)
-from vibrosim.hilbert import HilbertLayout, excited_populations
+from vibrosim.hilbert import (HilbertLayout, basis_state, destroy,
+                              excited_populations, level_mask)
 from vibrosim.isa import GateOp
 from vibrosim.model import SpinBosonParams, default_params, derive_effective
+from vibrosim.reference import lindblad_solve
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +142,36 @@ class TestRunExperiment:
         expected = np.exp(-gamma * trace.times_s)
         se = np.maximum(trace.se[:, 0], 1e-3)
         assert np.all(np.abs(trace.p[:, 0] - expected) < 4 * se)
+
+
+class TestCavityLoss:
+    def test_ensemble_matches_lindblad(self):
+        """Qubit + mode under RY, CD and CD-attached cavity loss at
+        p = 0.01 per photon and step: the readout population follows the
+        step unitary interleaved with exact loss (jump sqrt(kappa) a)."""
+        n_fock, beta, p, steps, shots = 12, 0.6, 0.01, 20, 4000
+        noise = NoiseModel(cd_enabled=True, cd_alpha=1.0, cd_chi=1.0,
+                           kappa_1c=p / beta, kappa_1q=0.0, kappa_phi_q=0.0)
+        lay = HilbertLayout((2, n_fock))
+        prep = [GateOp("H", (0,))]
+        step = [GateOp("RY", (0,), (0.5,)), GateOp("CD", (0, 1), (beta,))]
+        prog = CompiledProgram(layout=lay, n_fock=n_fock, tau=beta,
+                               prep_ops=prep, step_ops=step, forward_ops=step,
+                               readout=(0,), metadata={})
+        trace = run_experiment(prog, steps, shots, seed=1, noise=noise)
+
+        psi = ops_to_unitary(prep, lay, n_fock) @ basis_state(lay, (0, 0))
+        rho = np.outer(psi, psi.conj())
+        u = ops_to_unitary(step, lay, n_fock)
+        jump = np.sqrt(noise.kappa_1c) * np.kron(np.eye(2), destroy(n_fock))
+        excited = level_mask(lay, 0, 1)
+        ref = [rho.diagonal()[excited].sum().real]
+        for _ in range(steps):
+            rho = lindblad_solve(np.zeros_like(rho), [jump],
+                                 u @ rho @ u.conj().T, [0.0, beta])[-1]
+            ref.append(rho.diagonal()[excited].sum().real)
+        se = np.maximum(trace.se[:, 0], 1e-3)
+        assert np.all(np.abs(trace.p[:, 0] - np.array(ref)) < 4 * se)
 
 
 class TestTraceAndCsv:
