@@ -108,7 +108,6 @@ class PopulationTrace:
 # program lowering
 # ---------------------------------------------------------------------------
 
-
 def inject_noise(ops: list[GateOp], noise: NoiseModel) -> list:
     """Lower a gate list into executable instructions with noise markers.
 
