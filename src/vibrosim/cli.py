@@ -69,6 +69,7 @@ def _three_site_flags(args):
     """(flag, value) of every option only the three-site model reads."""
     yield "--config", args.config
     yield "--fock", args.fock
+    yield "--noise-cd", args.noise_cd or None
     for kind in ("amp", "dep"):
         for s in ("all",) + model.SITES:
             yield f"--gamma-{kind}-{s}", getattr(args, f"gamma_{kind}_{s}")

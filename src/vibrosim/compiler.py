@@ -266,8 +266,7 @@ def compile_step(ep: EffectiveParams, tau: float, n_fock: int,
                  rates_by_site: dict | None = None,
                  initial_site: str = "a",
                  exact_angles: bool = True,
-                 lowfreq_split: str = "printed",
-                 validate: bool = True) -> CompiledProgram:
+                 lowfreq_split: str = "printed") -> CompiledProgram:
     """Compile one full Trotter step of the three-site model.
 
     The initial state is a single electronic excitation on
@@ -277,8 +276,7 @@ def compile_step(ep: EffectiveParams, tau: float, n_fock: int,
         raise ValueError("tau must be positive")
     lay = three_site_layout(n_fock)
     step_ops, forward = compile_unitary_step(ep, tau, lay, lowfreq_split)
-    if validate:
-        validate_connectivity(step_ops, lay)
+    validate_connectivity(step_ops, lay)
     if rates_by_site:
         step_ops = step_ops + dissipation_layer(
             rates_by_site, tau, lay, exact_angles=exact_angles)
@@ -327,14 +325,13 @@ def compile_spin_boson_step(sb, tau: float,
 # connectivity validation
 # ---------------------------------------------------------------------------
 
-def validate_connectivity(ops, lay: HilbertLayout,
-                          adjacency=THREE_SITE_ADJACENCY) -> None:
-    """Reject programs whose 2-local gates span non-adjacent subsystems.
+def validate_connectivity(ops, lay: HilbertLayout) -> None:
+    """Reject 2-local gates on pairs not in ``THREE_SITE_ADJACENCY``.
 
     Dissipation fragments (tagged ``channel-*``) are module-local per the
     hardware picture and exempt from chain routing.
     """
-    edges = {frozenset((lay.index(u), lay.index(v))) for u, v in adjacency}
+    edges = {frozenset(map(lay.index, pair)) for pair in THREE_SITE_ADJACENCY}
     for op in ops:
         if len(op.targets) != 2 or op.tag.startswith("channel-"):
             continue

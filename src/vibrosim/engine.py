@@ -11,6 +11,11 @@ consumes its own named random streams in a fixed event order, so results
 are reproducible for a given seed regardless of batch size or thread
 count, and ``run_shot`` is that loop on a single shot.
 
+The step is lowered once per run into a plan.  Every hardware-noise event
+follows one jump rule (Dalibard, Castin & Molmer, PRL 68, 580 (1992)): a
+trajectory jumps to ``K_jump psi`` with probability ``||K_jump psi||^2``,
+otherwise takes ``K_stay psi``, and is renormalised.
+
 Readout: at every recorded step the engine samples one Bernoulli outcome
 per readout qubit from the trajectory's conditional populations without
 collapsing the state.  A fresh run restarted from t=0 and measured
@@ -27,18 +32,17 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from .channels import kraus_ops
 from .compiler import CompiledProgram
 from .hilbert import SX, apply_local, basis_state, destroy, \
-    excited_populations, level_mask, measure_qubit_batch
+    excited_populations, level_mask, level_populations, measure_qubit_batch
 from .isa import GateOp, MatrixCache, decompose_swap
 
 _STREAM_CHANNEL, _STREAM_NOISE, _STREAM_READOUT = 0, 1, 2
-
-_LOWER = np.array([[0, 1], [0, 0]], dtype=np.complex128)  # |0><1|
-_RAISE = _LOWER.T.copy()
 
 
 @dataclass(frozen=True)
@@ -53,8 +57,10 @@ class NoiseModel:
     its gate duration ``t_g = |beta| / (alpha * chi)``: qubit damping at
     ``kappa_1q * t_g``, qubit dephasing at ``kappa_phi_q * t_g`` and a
     cavity single-photon loss with probability ``kappa_1c * t_g`` per
-    photon (the no-loss branch applies the first-order no-jump Kraus,
-    valid for the p <= 1e-4 regime targeted here).
+    photon.  Each event is a Kraus pair ``(K_jump, K_stay)`` that jumps with
+    probability ``||K_jump psi||^2``: amp and dep from ``channels.kraus_ops``,
+    cavity loss ``(sqrt(p) a, 1 - (p/2) n)`` (first order, valid for the
+    p <= 1e-4 regime targeted here).
     """
 
     cnot_epsilon: float = 0.0
@@ -176,116 +182,87 @@ def _readout(states, program: CompiledProgram, read_gens):
     return pops, u.T < pops
 
 
+def _gate(layout, mat, targets, states, chan_u, noise_u):
+    return apply_local(states, layout, mat, targets)
+
+
+def _measure(layout, qubit, mask, column, reset, states, chan_u, noise_u):
+    outcomes, states = measure_qubit_batch(states, mask, chan_u[:, column])
+    if reset and np.any(outcomes):
+        flipped = apply_local(states, layout, SX, (qubit,))
+        states = np.where(outcomes[None, :] == 1, flipped, states)
+    return states
+
+
+def _kraus_pair(ins, layout):
+    """``(K_jump, diagonal of K_stay)`` of a lowered noise instruction."""
+    if ins[0] == "kraus":
+        k_jump, k_stay = kraus_ops(ins[1], ins[2])
+        return k_jump, k_stay.diagonal()
+    _, p, mode = ins   # cavity loss, first-order no-jump Kraus
+    d = layout.dims[mode]
+    return math.sqrt(p) * destroy(d), 1.0 - 0.5 * p * np.arange(d)
+
+
+def _jump(layout, target, column, k_jump, k_stay, states, chan_u, noise_u):
+    """Noise event: Kraus pair ``(k_jump, diag k_stay)`` on ``target``.
+
+    A column jumps where its uniform is below ``||k_jump psi||^2`` (read off
+    the level populations: ``k_jump^+ k_jump`` is diagonal), else it takes
+    ``k_stay``; each column is divided by sqrt(its branch probability).
+    """
+    d, n_batch = layout.dims[target], states.shape[1]
+    left = math.prod(layout.dims[:target])
+    pops = level_populations(np.abs(states) ** 2, layout, target)
+    p_jump = np.sum(np.abs(k_jump) ** 2, axis=0) @ pops
+    jump = noise_u[:, column] < p_jump
+    p_branch = np.where(jump, p_jump, np.abs(k_stay) ** 2 @ pops)
+    if not np.all(p_branch > 0.0):
+        raise FloatingPointError("noise event took a zero-probability branch")
+    norm = 1.0 / np.sqrt(p_branch)
+    out = states.reshape(left, d, -1, n_batch) * (k_stay[:, None, None] * norm)
+    cols = np.nonzero(jump)[0]
+    if cols.size:
+        jumped = k_jump @ states[:, cols].reshape(left, d, -1)
+        out[..., cols] = jumped.reshape(left, d, -1, cols.size) * norm[cols]
+    return out.reshape(states.shape)
+
+
 class _Executor:
-    """Advances trajectories of one program under one noise model."""
+    """Advances trajectories of one program under one noise model.
+
+    ``plan`` holds one ``entry(states, chan_u, noise_u) -> states`` per
+    lowered instruction; ``chan_u``/``noise_u`` are a step's per-shot
+    uniforms, shape (n_batch, n_events), and each entry reads its column.
+    """
 
     def __init__(self, program: CompiledProgram, noise: NoiseModel):
-        self.program = program
-        self.lowered = inject_noise(program.step_ops, noise)
-        self.cache = MatrixCache()
         lay = program.layout
-        self.masks = {}
+        cache = MatrixCache()
+        self.plan = []
         self.n_meas = self.n_noise = 0   # events per step, by stream
-        for ins in self.lowered:
-            if ins[0] in ("measure", "reset"):
+        for ins in inject_noise(program.step_ops, noise):
+            kind = ins[0]
+            if kind == "gate":
+                op = ins[1]
+                entry = partial(_gate, lay, cache.get(op, program.n_fock),
+                                op.targets)
+            elif kind in ("measure", "reset"):
+                entry = partial(_measure, lay, ins[1],
+                                level_mask(lay, ins[1], 1), self.n_meas,
+                                kind == "reset")
                 self.n_meas += 1
-            elif ins[0] in ("kraus", "cavity_loss"):
+            else:
+                entry = partial(_jump, lay, ins[-1], self.n_noise,
+                                *_kraus_pair(ins, lay))
                 self.n_noise += 1
-            if ins[0] in ("measure", "reset", "kraus"):
-                self.masks.setdefault(ins[-1], level_mask(lay, ins[-1], 1))
+            self.plan.append(entry)
         self.stochastic = self.n_meas > 0 or self.n_noise > 0
         psi = basis_state(lay, (0,) * lay.n_subsystems)
         for op in program.prep_ops:
-            psi = self._apply_gate(psi, op)
+            psi = apply_local(psi, lay, cache.get(op, program.n_fock),
+                              op.targets)
         self.psi0 = psi
-
-    def _apply_gate(self, states, op: GateOp):
-        mat = self.cache.get(op, self.program.n_fock)
-        return apply_local(states, self.program.layout, mat, op.targets)
-
-    def _flip(self, states, qubit):
-        return apply_local(states, self.program.layout, SX, (qubit,))
-
-    def _kraus_qubit(self, states, channel, eps, qubit, u):
-        lay = self.program.layout
-        if eps <= 0.0:
-            return states
-        mask = self.masks[qubit]
-        if channel == "dep":
-            # K0 = sqrt(eps) Z fires with probability eps; Z is diagonal, so
-            # only the jumping columns need a sign flip (no renormalization)
-            jump = np.nonzero(u < eps)[0]
-            if jump.size:
-                states = states.copy()
-                states[np.ix_(mask, jump)] *= -1.0
-            return states
-        # amp / exc: jump branch fires with probability ||A_jump psi||^2
-        src = mask if channel == "amp" else ~mask
-        lower = _LOWER if channel == "amp" else _RAISE
-        p_src = src @ (np.abs(states) ** 2)
-        jump = np.nonzero(u < eps * p_src)[0]
-        # no-jump Kraus is diagonal: scale the source level by sqrt(1-eps)
-        out = states.copy()
-        out[src] *= math.sqrt(1.0 - eps)
-        if jump.size:
-            jumped = apply_local(states[:, jump], lay, lower, (qubit,))
-            out[:, jump] = jumped
-        norms = np.sqrt(np.sum(np.abs(out) ** 2, axis=0))
-        norms = np.where(norms == 0.0, 1.0, norms)
-        return out / norms[None, :]
-
-    def _cavity_loss(self, states, p, mode, u):
-        """Single-photon loss at probability ``p`` per photon.
-
-        A column jumps (``a``, then renormalized) with probability
-        ``p <n>``; the others take the first-order no-jump Kraus
-        ``1 - (p/2) n``.  The ensemble is the loss channel to O(p^2).
-        """
-        lay = self.program.layout
-        shape = [1] * lay.n_subsystems
-        shape[mode] = lay.dims[mode]
-        levels = np.broadcast_to(
-            np.arange(lay.dims[mode]).reshape(shape), lay.dims).ravel()
-        jump = np.nonzero(u < p * (levels @ (np.abs(states) ** 2)))[0]
-        out = states * (1.0 - 0.5 * p * levels)[:, None]
-        if jump.size:
-            out[:, jump] = apply_local(states[:, jump], lay,
-                                       destroy(lay.dims[mode]), (mode,))
-        return out / np.sqrt(np.sum(np.abs(out) ** 2, axis=0))[None, :]
-
-    def run_step(self, states, chan_u, noise_u):
-        """Advance a batch by one Trotter step.
-
-        ``chan_u``/``noise_u`` have shape (n_batch, n_events) and hold the
-        per-shot uniforms for this step in event order.
-        """
-        ic = 0
-        inoise = 0
-        for ins in self.lowered:
-            kind = ins[0]
-            if kind == "gate":
-                states = self._apply_gate(states, ins[1])
-            elif kind == "measure":
-                _, states = measure_qubit_batch(
-                    states, self.masks[ins[1]], chan_u[:, ic])
-                ic += 1
-            elif kind == "reset":
-                outcomes, states = measure_qubit_batch(
-                    states, self.masks[ins[1]], chan_u[:, ic])
-                ic += 1
-                if np.any(outcomes):
-                    flipped = self._flip(states, ins[1])
-                    states = np.where(outcomes[None, :] == 1, flipped, states)
-            elif kind == "kraus":
-                _, channel, eps, qubit = ins
-                states = self._kraus_qubit(states, channel, eps, qubit,
-                                           noise_u[:, inoise])
-                inoise += 1
-            else:  # cavity_loss
-                _, p, mode = ins
-                states = self._cavity_loss(states, p, mode, noise_u[:, inoise])
-                inoise += 1
-        return states
 
     def trajectories(self, lo: int, hi: int, seed: int, n_steps: int):
         """Run shots ``[lo, hi)`` as one batch for ``n_steps`` steps.
@@ -303,8 +280,10 @@ class _Executor:
         states = np.repeat(self.psi0[:, None], nb, axis=1)
         yield 0, states
         for step in range(1, n_steps + 1):
-            states = self.run_step(states, _uniforms(chan, self.n_meas, nb),
-                                   _uniforms(noise, self.n_noise, nb))
+            chan_u = _uniforms(chan, self.n_meas, nb)
+            noise_u = _uniforms(noise, self.n_noise, nb)
+            for entry in self.plan:
+                states = entry(states, chan_u, noise_u)
             yield step, states
 
 

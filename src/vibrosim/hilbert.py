@@ -14,6 +14,7 @@ numpy dispatch overhead over many Monte-Carlo shots.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,6 +178,16 @@ def level_mask(layout: HilbertLayout, target: int, level: int = 1) -> np.ndarray
     return occ.ravel()
 
 
+def level_populations(prob: np.ndarray, layout: HilbertLayout,
+                      target: int) -> np.ndarray:
+    """Occupation of each level of ``target`` from ``prob = |state|^2``,
+    shape ``(d,)`` or ``(d, n_batch)``; sums a ``(left, d, right * n_batch)``
+    view, with no register-sized mask."""
+    d = layout.dims[target]
+    sums = prob.reshape(math.prod(layout.dims[:target]), d, -1).sum(axis=0)
+    return sums.reshape((d, -1) + prob.shape[1:]).sum(axis=1)
+
+
 def excited_populations(state: np.ndarray, layout: HilbertLayout,
                         targets) -> np.ndarray:
     """P(subsystem = |1>) for each target qubit.
@@ -185,8 +196,7 @@ def excited_populations(state: np.ndarray, layout: HilbertLayout,
     ``(n_targets, n_batch)`` for a batch.
     """
     prob = np.abs(state) ** 2
-    out = [level_mask(layout, t, 1) @ prob for t in targets]
-    return np.array(out)
+    return np.array([level_populations(prob, layout, t)[1] for t in targets])
 
 
 def measure_qubit_batch(states: np.ndarray, mask: np.ndarray,

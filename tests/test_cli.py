@@ -62,7 +62,8 @@ class TestConfigErrors:
     @pytest.mark.parametrize("flag", [["--fock", "3"],
                                       ["--gamma-amp-all", "1e12"],
                                       ["--gamma-dep-b", "1e12"],
-                                      ["--config", "params.json"]])
+                                      ["--config", "params.json"],
+                                      ["--noise-cd"]])
     def test_spin_boson_rejects_three_site_flags(self, tmp_path, flag):
         assert run_cli(["--preset", "fig3", "--out", str(tmp_path)]
                        + flag) == 2

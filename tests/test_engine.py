@@ -6,10 +6,11 @@ import pytest
 from vibrosim import channels
 from vibrosim.compiler import (CompiledProgram, compile_spin_boson_step,
                                compile_step, ops_to_unitary)
-from vibrosim.engine import (NoiseModel, inject_noise, run_experiment,
-                             run_shot)
-from vibrosim.hilbert import (HilbertLayout, basis_state, destroy,
-                              excited_populations, level_mask)
+from vibrosim.engine import (NoiseModel, _jump, inject_noise,
+                             run_experiment, run_shot)
+from vibrosim.hilbert import (HilbertLayout, basis_state, destroy, embed,
+                              excited_populations, level_mask,
+                              level_populations)
 from vibrosim.isa import GateOp
 from vibrosim.model import SpinBosonParams, default_params, derive_effective
 from vibrosim.reference import lindblad_solve
@@ -172,6 +173,53 @@ class TestCavityLoss:
             ref.append(rho.diagonal()[excited].sum().real)
         se = np.maximum(trace.se[:, 0], 1e-3)
         assert np.all(np.abs(trace.p[:, 0] - np.array(ref)) < 4 * se)
+
+
+class TestHardwareNoise:
+    @pytest.mark.parametrize("gate", ["CNOT", "CD"])
+    def test_ensemble_matches_density_matrix(self, gate):
+        """Two two-level subsystems under RY and a CNOT or CD carrying amp
+        and dep noise at eps ~ 0.05: the readout populations follow the
+        step unitary, then each noise event's ``kraus_ops`` channel on the
+        noisy qubit."""
+        eps, beta, steps, shots = 0.05, 0.8, 20, 4000
+        lay = HilbertLayout((2, 2))
+        if gate == "CNOT":
+            noise = NoiseModel(cnot_epsilon=eps)
+            step = [GateOp("RY", (0,), (0.6,)), GateOp("CNOT", (0, 1))]
+            noisy, events = 1, (("amp", eps), ("dep", eps / 2))
+        else:
+            noise = NoiseModel(cd_enabled=True, cd_alpha=1.0, cd_chi=1.0,
+                               kappa_1c=0.0, kappa_1q=eps / beta,
+                               kappa_phi_q=eps / beta)
+            step = [GateOp("RY", (0,), (0.6,)), GateOp("CD", (0, 1), (beta,))]
+            noisy, events = 0, (("amp", eps), ("dep", eps))
+        prog = CompiledProgram(layout=lay, n_fock=2, tau=1e-14, prep_ops=[],
+                               step_ops=step, forward_ops=step,
+                               readout=(0, 1), metadata={})
+        trace = run_experiment(prog, steps, shots, seed=2, noise=noise)
+
+        u = ops_to_unitary(step, lay, 2)
+        kraus = [[embed(lay, k, (noisy,)).toarray()
+                  for k in channels.kraus_ops(kind, p)] for kind, p in events]
+        rho = np.outer(*(2 * [basis_state(lay, (0, 0))]))
+        ref = []
+        for i in range(steps + 1):
+            if i:
+                rho = u @ rho @ u.conj().T
+                for ops in kraus:
+                    rho = channels.apply_channel_dm(ops, rho)
+            ref.append([level_populations(rho.diagonal().real, lay, q)[1]
+                        for q in (0, 1)])
+        se = np.maximum(trace.se, 1e-3)
+        assert np.all(np.abs(trace.p - np.array(ref)) < 4 * se)
+
+    def test_zero_branch_raises(self):
+        lay = HilbertLayout((2, 2))
+        excited = basis_state(lay, (1, 0))[:, None]
+        with pytest.raises(FloatingPointError):
+            _jump(lay, 0, 0, np.zeros((2, 2)), np.array([1.0, 0.0]),
+                  excited, None, np.array([[0.5]]))
 
 
 class TestTraceAndCsv:

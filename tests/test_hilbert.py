@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from vibrosim.hilbert import (HilbertLayout, apply_local, basis_state, embed,
                               excited_populations, level_mask,
-                              measure_qubit_batch)
+                              level_populations, measure_qubit_batch)
 
 
 def random_state(layout, rng):
@@ -145,6 +145,20 @@ class TestMeasurement:
         psi = (basis_state(lay, (0, 0)) + basis_state(lay, (1, 1))) / np.sqrt(2)
         pops = excited_populations(psi, lay, (0, 1))
         assert np.allclose(pops, [0.5, 0.5])
+
+    @pytest.mark.parametrize("target", [0, 1, 2])
+    def test_level_populations_match_masks(self, target):
+        lay = HilbertLayout((2, 3, 4))
+        rng = np.random.default_rng(target)
+        batch = np.stack([random_state(lay, rng) for _ in range(5)], axis=1)
+        prob = np.abs(batch) ** 2
+        masked = [level_mask(lay, target, k) @ prob
+                  for k in range(lay.dims[target])]
+        assert np.allclose(level_populations(prob, lay, target), masked,
+                           rtol=0, atol=1e-14)
+        assert np.allclose(level_populations(prob[:, 3], lay, target),
+                           np.array(masked)[:, 3], rtol=0, atol=1e-14)
+        assert excited_populations(batch, lay, (target,)).shape == (1, 5)
 
     def test_measure_collapses_bell_state(self):
         lay = HilbertLayout((2, 2))
