@@ -11,10 +11,13 @@ consumes its own named random streams in a fixed event order, so results
 are reproducible for a given seed regardless of batch size or thread
 count, and ``run_shot`` is that loop on a single shot.
 
-The step is lowered once per run into a plan.  Every hardware-noise event
-follows one jump rule (Dalibard, Castin & Molmer, PRL 68, 580 (1992)): a
+The step is lowered once per run into a plan.  Measurements, resets and
+noise events are its barriers; between two of them, gates are fused
+greedily into dense unitaries on at most ``_FUSE_CAP`` local amplitudes
+(Haner & Steiger, arXiv:1704.01127).  Every hardware-noise event follows
+one jump rule (Dalibard, Castin & Molmer, PRL 68, 580 (1992)): a
 trajectory jumps to ``K_jump psi`` with probability ``||K_jump psi||^2``,
-otherwise takes ``K_stay psi``, and is renormalised.
+otherwise takes ``K_stay psi``, and is renormalised; dephasing jumps at eps.
 
 Readout: at every recorded step the engine samples one Bernoulli outcome
 per readout qubit from the trajectory's conditional populations without
@@ -33,16 +36,20 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from itertools import groupby
 
 import numpy as np
 
 from .channels import kraus_ops
 from .compiler import CompiledProgram
-from .hilbert import SX, apply_local, basis_state, destroy, \
-    excited_populations, level_mask, level_populations, measure_qubit_batch
+from .hilbert import SX, SZ, HilbertLayout, apply_local, basis_state, \
+    destroy, excited_populations, level_mask, level_populations, \
+    measure_qubit_batch
 from .isa import GateOp, MatrixCache, decompose_swap
 
 _STREAM_CHANNEL, _STREAM_NOISE, _STREAM_READOUT = 0, 1, 2
+
+_FUSE_CAP = 128   # local amplitudes of a fused kernel (BENCH_5.json sweep)
 
 
 @dataclass(frozen=True)
@@ -186,11 +193,42 @@ def _gate(layout, mat, targets, states, chan_u, noise_u):
     return apply_local(states, layout, mat, targets)
 
 
+def _fuse(layout, gates):
+    """Plan entries of a gate run ``(matrix, targets)``, fused greedily into
+    read-only blocks on at most ``_FUSE_CAP`` local amplitudes each."""
+    blocks = [((), [])]   # (sorted union of targets, gates)
+    for gate in gates:
+        union = sorted(set(blocks[-1][0]).union(gate[1]))
+        if math.prod(layout.dims[t] for t in union) <= _FUSE_CAP:
+            blocks[-1] = (union, blocks[-1][1] + [gate])
+        else:
+            blocks.append((sorted(gate[1]), [gate]))
+    kernels = []
+    for union, block in blocks:
+        if len(block) > 1:
+            sub = HilbertLayout(tuple(layout.dims[t] for t in union))
+            u = np.eye(sub.total_dim, dtype=np.complex128)
+            for mat, targets in block:
+                u = apply_local(u, sub, mat, [union.index(t) for t in targets])
+            u.setflags(write=False)
+            block = [(u, tuple(union))]
+        kernels += [partial(_gate, layout, *kernel) for kernel in block]
+    return kernels
+
+
 def _measure(layout, qubit, mask, column, reset, states, chan_u, noise_u):
     outcomes, states = measure_qubit_batch(states, mask, chan_u[:, column])
-    if reset and np.any(outcomes):
-        flipped = apply_local(states, layout, SX, (qubit,))
-        states = np.where(outcomes[None, :] == 1, flipped, states)
+    cols = np.nonzero(outcomes)[0]
+    if reset and cols.size:
+        states[:, cols] = apply_local(states[:, cols], layout, SX, (qubit,))
+    return states
+
+
+def _dephase(layout, target, column, eps, states, chan_u, noise_u):
+    """Dephasing: columns whose uniform is below eps take sigma_z in place."""
+    cols = np.nonzero(noise_u[:, column] < eps)[0]
+    if cols.size:
+        states[:, cols] = apply_local(states[:, cols], layout, SZ, (target,))
     return states
 
 
@@ -232,8 +270,8 @@ class _Executor:
     """Advances trajectories of one program under one noise model.
 
     ``plan`` holds one ``entry(states, chan_u, noise_u) -> states`` per
-    lowered instruction; ``chan_u``/``noise_u`` are a step's per-shot
-    uniforms, shape (n_batch, n_events), and each entry reads its column.
+    fused kernel or barrier; ``chan_u``/``noise_u`` are a step's per-shot
+    uniforms, shape (n_batch, n_events), and each barrier reads its column.
     """
 
     def __init__(self, program: CompiledProgram, noise: NoiseModel):
@@ -241,22 +279,24 @@ class _Executor:
         cache = MatrixCache()
         self.plan = []
         self.n_meas = self.n_noise = 0   # events per step, by stream
-        for ins in inject_noise(program.step_ops, noise):
-            kind = ins[0]
-            if kind == "gate":
-                op = ins[1]
-                entry = partial(_gate, lay, cache.get(op, program.n_fock),
-                                op.targets)
-            elif kind in ("measure", "reset"):
-                entry = partial(_measure, lay, ins[1],
-                                level_mask(lay, ins[1], 1), self.n_meas,
-                                kind == "reset")
-                self.n_meas += 1
-            else:
-                entry = partial(_jump, lay, ins[-1], self.n_noise,
-                                *_kraus_pair(ins, lay))
-                self.n_noise += 1
-            self.plan.append(entry)
+        lowered = inject_noise(program.step_ops, noise)
+        for is_gate, group in groupby(lowered, lambda ins: ins[0] == "gate"):
+            if is_gate:
+                self.plan += _fuse(lay, [(cache.get(op, program.n_fock),
+                                          op.targets) for _, op in group])
+                continue
+            for ins in group:
+                if ins[0] in ("measure", "reset"):
+                    entry = partial(_measure, lay, ins[1],
+                                    level_mask(lay, ins[1], 1), self.n_meas,
+                                    ins[0] == "reset")
+                    self.n_meas += 1
+                else:
+                    func, args = ((_dephase, ins[2:3]) if ins[1] == "dep"
+                                  else (_jump, _kraus_pair(ins, lay)))
+                    entry = partial(func, lay, ins[-1], self.n_noise, *args)
+                    self.n_noise += 1
+                self.plan.append(entry)
         self.stochastic = self.n_meas > 0 or self.n_noise > 0
         psi = basis_state(lay, (0,) * lay.n_subsystems)
         for op in program.prep_ops:

@@ -6,13 +6,14 @@ import pytest
 from vibrosim import channels
 from vibrosim.compiler import (CompiledProgram, compile_spin_boson_step,
                                compile_step, ops_to_unitary)
-from vibrosim.engine import (NoiseModel, _jump, inject_noise,
-                             run_experiment, run_shot)
-from vibrosim.hilbert import (HilbertLayout, basis_state, destroy, embed,
-                              excited_populations, level_mask,
+from vibrosim.engine import (NoiseModel, _Executor, _gate, _jump, _measure,
+                             inject_noise, run_experiment, run_shot)
+from vibrosim.hilbert import (HilbertLayout, apply_local, basis_state,
+                              destroy, embed, excited_populations, level_mask,
                               level_populations)
-from vibrosim.isa import GateOp
+from vibrosim.isa import GateOp, gate_matrix
 from vibrosim.model import SpinBosonParams, default_params, derive_effective
+from vibrosim.presets import preset
 from vibrosim.reference import lindblad_solve
 
 
@@ -173,6 +174,72 @@ class TestCavityLoss:
             ref.append(rho.diagonal()[excited].sum().real)
         se = np.maximum(trace.se[:, 0], 1e-3)
         assert np.all(np.abs(trace.p[:, 0] - np.array(ref)) < 4 * se)
+
+
+class TestFusion:
+    """The fused plan keeps the gate-by-gate program: the same barriers in
+    the same order, and between two barriers kernels whose product is the
+    product of the original gates."""
+
+    @staticmethod
+    def program(name, n_fock):
+        spec = preset(name)
+        spec.n_fock = n_fock
+        return spec.build_program()
+
+    @pytest.mark.parametrize("name, n_fock, noise", [
+        ("fig5", 2, NoiseModel()),
+        ("fig9", 2, NoiseModel(cnot_epsilon=0.02)),
+        ("fig10", 2, NoiseModel(cd_enabled=True)),
+        ("fig4", 3, NoiseModel()),
+    ], ids=["fig5", "fig9", "fig10", "fig4"])
+    def test_plan_matches_gates(self, name, n_fock, noise):
+        prog = self.program(name, n_fock)
+        lay = prog.layout
+        lowered = inject_noise(prog.step_ops, noise)
+        plan = _Executor(prog, noise).plan
+
+        def barrier(ins):
+            if ins[0] in ("measure", "reset"):
+                return "_measure", ins[1], ins[0] == "reset"
+            return ("_dephase" if ins[1] == "dep" else "_jump"), ins[-1]
+
+        def planned(entry):
+            name, args = entry.func.__name__, entry.args
+            return (name, args[1], args[4]) if entry.func is _measure \
+                else (name, args[1])
+
+        assert [planned(e) for e in plan if e.func is not _gate] == \
+            [barrier(ins) for ins in lowered if ins[0] != "gate"]
+
+        gate_runs, kernel_runs = [[]], [[]]
+        for ins in lowered:
+            if ins[0] == "gate":
+                gate_runs[-1].append(ins[1])
+            else:
+                gate_runs.append([])
+        for entry in plan:
+            if entry.func is _gate:
+                kernel_runs[-1].append(entry.args[1:])
+            else:
+                kernel_runs.append([])
+        assert sum(map(len, kernel_runs)) < sum(map(len, gate_runs))
+        for ops, kernels in zip(gate_runs, kernel_runs, strict=True):
+            fused = np.eye(lay.total_dim, dtype=np.complex128)
+            for mat, targets in kernels:
+                assert not mat.flags.writeable
+                fused = apply_local(fused, lay, mat, targets)
+            exact = ops_to_unitary(ops, lay, n_fock)
+            assert np.max(np.abs(fused - exact)) < 1e-12
+
+    def test_run_shot_matches_gate_product(self):
+        prog = self.program("fig4", 3)
+        lay = prog.layout
+        psi = basis_state(lay, (0,) * lay.n_subsystems)
+        for op in prog.prep_ops + 3 * prog.step_ops:
+            psi = apply_local(psi, lay, gate_matrix(op, 3), op.targets)
+        final = run_shot(prog, 3, seed=0)["final_state"]
+        assert np.max(np.abs(final - psi)) < 1e-12
 
 
 class TestHardwareNoise:
