@@ -220,6 +220,9 @@ def main(argv=None) -> int:
     except (FloatingPointError, RuntimeError, np.linalg.LinAlgError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except ValueError as exc:   # e.g. a noise probability above 1
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_OK
 
 

@@ -64,10 +64,12 @@ class NoiseModel:
     its gate duration ``t_g = |beta| / (alpha * chi)``: qubit damping at
     ``kappa_1q * t_g``, qubit dephasing at ``kappa_phi_q * t_g`` and a
     cavity single-photon loss with probability ``kappa_1c * t_g`` per
-    photon.  Each event is a Kraus pair ``(K_jump, K_stay)`` that jumps with
-    probability ``||K_jump psi||^2``: amp and dep from ``channels.kraus_ops``,
-    cavity loss ``(sqrt(p) a, 1 - (p/2) n)`` (first order, valid for the
-    p <= 1e-4 regime targeted here).
+    photon.  Each event is a Kraus pair ``(K_jump, K_stay)`` with
+    ``K_jump^+ K_jump + K_stay^+ K_stay = 1`` that jumps with probability
+    ``||K_jump psi||^2``: amp and dep from ``channels.kraus_ops``, cavity
+    loss ``(sqrt(p) a, sqrt(1 - p n))``, which needs ``p (d - 1) <= 1`` at
+    Fock cutoff d (a larger p raises ``ValueError`` when the step is
+    lowered) and agrees with the loss channel to first order in p.
     """
 
     cnot_epsilon: float = 0.0
@@ -237,9 +239,12 @@ def _kraus_pair(ins, layout):
     if ins[0] == "kraus":
         k_jump, k_stay = kraus_ops(ins[1], ins[2])
         return k_jump, k_stay.diagonal()
-    _, p, mode = ins   # cavity loss, first-order no-jump Kraus
+    _, p, mode = ins   # cavity loss: K_stay = sqrt(1 - p n) keeps the trace
     d = layout.dims[mode]
-    return math.sqrt(p) * destroy(d), 1.0 - 0.5 * p * np.arange(d)
+    if p * (d - 1) > 1.0:
+        raise ValueError(f"cavity loss p = {p:.3g} per photon exceeds "
+                         f"1/(d-1) at Fock cutoff {d}")
+    return math.sqrt(p) * destroy(d), np.sqrt(1.0 - p * np.arange(d))
 
 
 def _jump(layout, target, column, k_jump, k_stay, states, chan_u, noise_u):

@@ -49,6 +49,14 @@ class TestConfigErrors:
         assert run_cli(["--preset", "fig3", "--out", str(tmp_path),
                         "--noise-cnot", "1.5"]) == 2
 
+    def test_noise_probability_above_one(self, tmp_path):
+        """At a 2 ns step the CD-attached damping probability is about 2;
+        lowering rejects it and the CLI reports a configuration error."""
+        assert run_cli(["--preset", "fig10", "--out", str(tmp_path),
+                        "--tau-fs", "2e6", "--fock", "2", "--steps", "1",
+                        "--shots", "10"]) == 2
+        assert not (tmp_path / "populations.csv").exists()
+
     def test_bad_gamma(self, tmp_path):
         assert run_cli(["--preset", "fig4", "--out", str(tmp_path),
                         "--gamma-amp-b", "-3"]) == 2

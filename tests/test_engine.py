@@ -6,8 +6,9 @@ import pytest
 from vibrosim import channels
 from vibrosim.compiler import (CompiledProgram, compile_spin_boson_step,
                                compile_step, ops_to_unitary)
-from vibrosim.engine import (NoiseModel, _Executor, _gate, _jump, _measure,
-                             inject_noise, run_experiment, run_shot)
+from vibrosim.engine import (NoiseModel, _Executor, _gate, _jump,
+                             _kraus_pair, _measure, inject_noise,
+                             run_experiment, run_shot)
 from vibrosim.hilbert import (HilbertLayout, apply_local, basis_state,
                               destroy, embed, excited_populations, level_mask,
                               level_populations)
@@ -147,6 +148,29 @@ class TestRunExperiment:
 
 
 class TestCavityLoss:
+    @pytest.mark.parametrize("p, d", [(1e-6, 8), (0.01, 12), (0.2, 5),
+                                      (1.0, 2)])
+    def test_pair_is_trace_preserving(self, p, d):
+        lay = HilbertLayout((2, d))
+        k_jump, k_stay = _kraus_pair(("cavity_loss", p, 1), lay)
+        total = k_jump.conj().T @ k_jump + np.diag(np.abs(k_stay) ** 2)
+        assert np.max(np.abs(total - np.eye(d))) < 1e-14
+
+    def test_loss_above_one_over_cutoff_raises(self):
+        """p (d - 1) > 1 has no trace-preserving no-jump branch."""
+        noise = NoiseModel(cd_enabled=True, cd_alpha=1.0, cd_chi=1.0,
+                           kappa_1c=0.3, kappa_1q=0.0, kappa_phi_q=0.0)
+        step = [GateOp("CD", (0, 1), (1.0,))]
+
+        def program(d):
+            return CompiledProgram(layout=HilbertLayout((2, d)), n_fock=d,
+                                   tau=1.0, prep_ops=[], step_ops=step,
+                                   forward_ops=step, readout=(0,),
+                                   metadata={})
+        with pytest.raises(ValueError, match="cavity loss"):
+            _Executor(program(5), noise)
+        _Executor(program(4), noise)   # p (d - 1) = 0.9
+
     def test_ensemble_matches_lindblad(self):
         """Qubit + mode under RY, CD and CD-attached cavity loss at
         p = 0.01 per photon and step: the readout population follows the
