@@ -50,6 +50,7 @@ from .isa import GateOp, MatrixCache, decompose_swap
 _STREAM_CHANNEL, _STREAM_NOISE, _STREAM_READOUT = 0, 1, 2
 
 _FUSE_CAP = 128   # local amplitudes of a fused kernel (BENCH_5.json sweep)
+_DRAW_BLOCK = 1 << 20   # uniforms per stream in one draw block (8 MiB)
 
 
 @dataclass(frozen=True)
@@ -175,19 +176,33 @@ def _shot_generator(seed: int, shot: int, stream: int) -> np.random.Generator:
 # execution
 # ---------------------------------------------------------------------------
 
-def _uniforms(gens, n_events: int, n_batch: int) -> np.ndarray:
-    """One row of ``n_events`` uniforms per shot, shape (n_batch, n_events)."""
-    if not n_events:
-        return np.empty((n_batch, 0))
-    return np.stack([g.random(n_events) for g in gens])
+def _draws(seed: int, lo: int, hi: int, stream: int, n: int, rows: int):
+    """Yield ``rows`` arrays ``(hi - lo, n)``: row r holds the r-th ``n``
+    uniforms of stream ``stream`` of each shot in ``[lo, hi)``.
+
+    A shot's rows are drawn ``k`` at a time with one ``random((k, n))``
+    call, which gives the same numbers as ``k`` calls of ``random(n)``; a
+    block holds at most ``_DRAW_BLOCK`` uniforms per stream.
+    """
+    if not n:   # no events on this stream: no generators either
+        yield from (np.empty((hi - lo, 0)) for _ in range(rows))
+        return
+    gens = [_shot_generator(seed, s, stream) for s in range(lo, hi)]
+    per_block = max(1, _DRAW_BLOCK // (n * (hi - lo)))
+    while rows > 0:
+        k = min(rows, per_block)
+        block = np.empty((hi - lo, k, n))
+        for gen, out in zip(gens, block):
+            gen.random(out=out)
+        yield from (block[:, i] for i in range(k))
+        rows -= k
 
 
-def _readout(states, program: CompiledProgram, read_gens):
+def _readout(states, program: CompiledProgram, u):
     """Conditional readout populations ``(n_read, n_batch)`` and one
-    Bernoulli outcome per readout qubit and shot, drawn without collapse."""
+    Bernoulli outcome per readout qubit and shot from the readout
+    uniforms ``u`` (n_batch, n_read), drawn without collapse."""
     pops = excited_populations(states, program.layout, program.readout)
-    n_read = len(program.readout)
-    u = np.stack([g.random(n_read) for g in read_gens])
     return pops, u.T < pops
 
 
@@ -317,16 +332,11 @@ class _Executor:
         its own named streams, so its trajectory does not depend on the
         batch it runs in.
         """
-        nb = hi - lo
-        chan = [_shot_generator(seed, s, _STREAM_CHANNEL)
-                for s in range(lo, hi)] if self.n_meas else []
-        noise = [_shot_generator(seed, s, _STREAM_NOISE)
-                 for s in range(lo, hi)] if self.n_noise else []
-        states = np.repeat(self.psi0[:, None], nb, axis=1)
+        chan = _draws(seed, lo, hi, _STREAM_CHANNEL, self.n_meas, n_steps)
+        noise = _draws(seed, lo, hi, _STREAM_NOISE, self.n_noise, n_steps)
+        states = np.repeat(self.psi0[:, None], hi - lo, axis=1)
         yield 0, states
-        for step in range(1, n_steps + 1):
-            chan_u = _uniforms(chan, self.n_meas, nb)
-            noise_u = _uniforms(noise, self.n_noise, nb)
+        for step, chan_u, noise_u in zip(range(1, n_steps + 1), chan, noise):
             for entry in self.plan:
                 states = entry(states, chan_u, noise_u)
             yield step, states
@@ -366,11 +376,11 @@ def run_experiment(program: CompiledProgram, n_steps: int, shots: int,
         def run_chunk(chunk):
             lo, hi = chunk
             part = np.zeros_like(counts)
-            read_gens = [_shot_generator(seed, s, _STREAM_READOUT)
-                         for s in range(lo, hi)]
+            read_u = _draws(seed, lo, hi, _STREAM_READOUT, n_read,
+                            len(record_steps))
             for step, states in executor.trajectories(lo, hi, seed, last):
                 if step in row:
-                    _, outcomes = _readout(states, program, read_gens)
+                    _, outcomes = _readout(states, program, next(read_u))
                     part[row[step]] = outcomes.sum(axis=1)
             return part
 
@@ -406,12 +416,13 @@ def run_shot(program: CompiledProgram, n_steps: int, seed: int,
     at the same seed.
     """
     executor = _Executor(program, noise or NoiseModel())
-    read_gens = [_shot_generator(seed, shot_index, _STREAM_READOUT)]
+    read_u = _draws(seed, shot_index, shot_index + 1, _STREAM_READOUT,
+                    len(program.readout), n_steps)
     pops, outcomes = [], []
     for step, states in executor.trajectories(shot_index, shot_index + 1,
                                               seed, n_steps):
         if step:
-            p, out = _readout(states, program, read_gens)
+            p, out = _readout(states, program, next(read_u))
             pops.append(p[:, 0])
             outcomes.append(out[:, 0].astype(int))
     return {"populations": np.array(pops), "outcomes": np.array(outcomes),

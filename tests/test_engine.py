@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from vibrosim import channels
+from vibrosim import channels, engine
 from vibrosim.compiler import (CompiledProgram, compile_spin_boson_step,
                                compile_step, ops_to_unitary)
 from vibrosim.engine import (NoiseModel, _Executor, _gate, _jump,
@@ -109,6 +109,21 @@ class TestRunExperiment:
                            noise=WIDE_NOISE, threads=2)
         assert np.array_equal(a.p, b.p)
         assert 0.0 < a.p[-1, 0] < 1.0
+
+    @pytest.mark.parametrize("name", ["fig5", "spin-boson"])
+    def test_draw_blocks_are_invisible(self, name, sb_program, monkeypatch):
+        """A shot's uniforms are drawn in blocks of steps, so a 5-step run
+        draws blocks of 5 rows where a 12-step run draws blocks of 12; the
+        5-step counts (t=0 and steps 1-5) are the 12-step run's first
+        points.  Blocks of a few steps give the same counts again."""
+        prog = sb_program if name == "spin-boson" else \
+            TestFusion.program("fig5", 2)
+        short = run_experiment(prog, 5, 300, seed=4)
+        full = run_experiment(prog, 12, 300, seed=4)
+        assert np.array_equal(short.p, full.p[:6])
+        monkeypatch.setattr(engine, "_DRAW_BLOCK", 5000)
+        assert np.array_equal(run_experiment(prog, 12, 300, seed=4).p,
+                              full.p)
 
     def test_seed_changes_counts(self, sb_program):
         a = run_experiment(sb_program, 5, 200, seed=1)
