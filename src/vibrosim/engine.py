@@ -286,24 +286,37 @@ def _jump(layout, target, column, k_jump, k_stay, states, chan_u, noise_u):
     return out.reshape(states.shape)
 
 
+def _run(entries, states, chan_u, noise_u):
+    for entry in entries:
+        states = entry(states, chan_u, noise_u)
+    return states
+
+
 class _Executor:
     """Advances trajectories of one program under one noise model.
 
     ``plan`` holds one ``entry(states, chan_u, noise_u) -> states`` per
     fused kernel or barrier; ``chan_u``/``noise_u`` are a step's per-shot
     uniforms, shape (n_batch, n_events), and each barrier reads its column.
+    ``bounds[k]`` is the largest jump probability of noise event k, the
+    largest diagonal entry of ``K_jump^+ K_jump``, and ``no_jump`` holds the
+    step's gates and ``K_stay`` factors in order, fused.  A step with a
+    measurement or reset has no ``no_jump``: those click whatever the
+    column's uniform (bound 1).
     """
 
     def __init__(self, program: CompiledProgram, noise: NoiseModel):
         lay = program.layout
         cache = MatrixCache()
-        self.plan = []
+        self.plan, stay, bounds = [], [], []
         self.n_meas = self.n_noise = 0   # events per step, by stream
         lowered = inject_noise(program.step_ops, noise)
         for is_gate, group in groupby(lowered, lambda ins: ins[0] == "gate"):
             if is_gate:
-                self.plan += _fuse(lay, [(cache.get(op, program.n_fock),
-                                          op.targets) for _, op in group])
+                gates = [(cache.get(op, program.n_fock), op.targets)
+                         for _, op in group]
+                self.plan += _fuse(lay, gates)
+                stay += gates
                 continue
             for ins in group:
                 if ins[0] in ("measure", "reset"):
@@ -312,12 +325,23 @@ class _Executor:
                                     ins[0] == "reset")
                     self.n_meas += 1
                 else:
-                    func, args = ((_dephase, ins[2:3]) if ins[1] == "dep"
-                                  else (_jump, _kraus_pair(ins, lay)))
-                    entry = partial(func, lay, ins[-1], self.n_noise, *args)
+                    k_jump, k_stay = _kraus_pair(ins, lay)
+                    if ins[1] == "dep":   # jumps where u < eps
+                        entry = partial(_dephase, lay, ins[-1], self.n_noise,
+                                        ins[2])
+                        bounds.append(ins[2])
+                    else:
+                        entry = partial(_jump, lay, ins[-1], self.n_noise,
+                                        k_jump, k_stay)
+                        bounds.append(np.max(np.sum(np.abs(k_jump) ** 2,
+                                                    axis=0)))
+                    stay.append((np.diag(k_stay), (ins[-1],)))
                     self.n_noise += 1
                 self.plan.append(entry)
         self.stochastic = self.n_meas > 0 or self.n_noise > 0
+        self.bounds = np.array(bounds)
+        self.no_jump = _fuse(lay, stay) if self.n_noise and not self.n_meas \
+            else []
         psi = basis_state(lay, (0,) * lay.n_subsystems)
         for op in program.prep_ops:
             psi = apply_local(psi, lay, cache.get(op, program.n_fock),
@@ -337,9 +361,36 @@ class _Executor:
         states = np.repeat(self.psi0[:, None], hi - lo, axis=1)
         yield 0, states
         for step, chan_u, noise_u in zip(range(1, n_steps + 1), chan, noise):
-            for entry in self.plan:
-                states = entry(states, chan_u, noise_u)
+            states = self.step(states, chan_u, noise_u)
             yield step, states
+
+    def step(self, states, chan_u, noise_u):
+        """Advance a batch by one step.
+
+        A column whose uniform clears every noise event's bound,
+        ``u_k >= bounds[k]``, cannot jump anywhere in the step (thinning:
+        Lewis & Shedler, Naval Res. Logist. Q. 26, 403 (1979)); it takes
+        ``no_jump`` and one renormalisation.  Every other column runs the
+        plan.
+        """
+        fast = np.all(noise_u >= self.bounds, axis=1) if self.no_jump else ()
+        if not np.any(fast):
+            return _run(self.plan, states, chan_u, noise_u)
+        if fast.all():
+            return self._no_jump(states)
+        out = np.empty_like(states)
+        out[:, fast] = self._no_jump(states[:, fast])
+        slow = ~fast
+        out[:, slow] = _run(self.plan, states[:, slow], chan_u[slow],
+                            noise_u[slow])
+        return out
+
+    def _no_jump(self, states):
+        states = _run(self.no_jump, states, None, None)
+        norm = np.sqrt(np.sum(np.abs(states) ** 2, axis=0))
+        if not np.all(norm > 0.0):
+            raise FloatingPointError("no-jump branch has zero probability")
+        return states / norm
 
 
 def run_experiment(program: CompiledProgram, n_steps: int, shots: int,

@@ -7,7 +7,7 @@ from vibrosim import channels, engine
 from vibrosim.compiler import (CompiledProgram, compile_spin_boson_step,
                                compile_step, ops_to_unitary)
 from vibrosim.engine import (NoiseModel, _Executor, _gate, _jump,
-                             _kraus_pair, _measure, inject_noise,
+                             _kraus_pair, _measure, _run, inject_noise,
                              run_experiment, run_shot)
 from vibrosim.hilbert import (HilbertLayout, apply_local, basis_state,
                               destroy, embed, excited_populations, level_mask,
@@ -279,6 +279,97 @@ class TestFusion:
             psi = apply_local(psi, lay, gate_matrix(op, 3), op.targets)
         final = run_shot(prog, 3, seed=0)["final_state"]
         assert np.max(np.abs(final - psi)) < 1e-12
+
+
+class TestThinning:
+    """A column whose uniforms clear every noise event's bound takes the
+    fused no-jump product of the step instead of the plan."""
+
+    @staticmethod
+    def executor(name, noise):
+        prog = TestFusion.program(name, 2)
+        return prog, _Executor(prog, noise)
+
+    @pytest.mark.parametrize("name, noise", [
+        ("fig9", NoiseModel(cnot_epsilon=1e-3)),
+        ("fig10", NoiseModel(cd_enabled=True)),
+    ], ids=["fig9", "fig10"])
+    def test_no_jump_is_ordered_product(self, name, noise):
+        """The no-jump kernels compose to the step's gates and each noise
+        event's K_stay, in program order."""
+        prog, ex = self.executor(name, noise)
+        lay = prog.layout
+        lowered = inject_noise(prog.step_ops, noise)
+        assert len(ex.no_jump) <= 4 < len(ex.plan)
+        exact = np.eye(lay.total_dim, dtype=np.complex128)
+        for ins in lowered:
+            if ins[0] == "gate":
+                op = ins[1]
+                exact = apply_local(exact, lay, gate_matrix(op, 2), op.targets)
+            elif ins[0] == "kraus":
+                k_stay = channels.kraus_ops(ins[1], ins[2])[1]
+                exact = apply_local(exact, lay, k_stay, (ins[3],))
+            else:   # cavity loss: K_stay = sqrt(1 - p n)
+                _, p, mode = ins
+                k_stay = np.diag(np.sqrt(1.0 - p * np.arange(lay.dims[mode])))
+                exact = apply_local(exact, lay, k_stay, (mode,))
+        fused = np.eye(lay.total_dim, dtype=np.complex128)
+        for entry in ex.no_jump:
+            fused = apply_local(fused, lay, *entry.args[1:])
+        assert np.max(np.abs(fused - exact)) < 1e-12
+        assert _Executor(TestFusion.program("fig5", 2), noise).no_jump == []
+
+    @pytest.mark.parametrize("name, noise", [
+        ("fig9", NoiseModel(cnot_epsilon=0.02)),
+        ("fig10", NoiseModel(cd_enabled=True, kappa_1c=1e9, kappa_1q=1e9,
+                             kappa_phi_q=1e9)),
+    ], ids=["fig9", "fig10"])
+    def test_cleared_batch_matches_plan(self, name, noise):
+        """Uniforms at or above every bound: the step equals the plan
+        applied entry by entry."""
+        prog, ex = self.executor(name, noise)
+        rng = np.random.default_rng(0)
+        dim, nb = prog.layout.total_dim, 6
+        states = rng.normal(size=(dim, nb)) + 1j * rng.normal(size=(dim, nb))
+        states /= np.linalg.norm(states, axis=0)
+        noise_u = ex.bounds + (1.0 - ex.bounds) * rng.random((nb, ex.n_noise))
+        noise_u[0] = ex.bounds   # the bound itself clears
+        chan_u = np.empty((nb, 0))
+        fast = ex.step(states.copy(), chan_u, noise_u)
+        slow = _run(ex.plan, states.copy(), chan_u, noise_u)
+        assert np.max(np.abs(fast - slow)) < 1e-12
+        assert np.allclose(np.linalg.norm(fast, axis=0), 1.0, atol=1e-14)
+
+    def test_ensemble_matches_density_matrix(self):
+        """fig9 at cutoff 2 and eps = 0.005, where about 30% of columns
+        take the no-jump product in a step: readout populations follow the
+        step's gates and each noise event's ``kraus_ops`` channel."""
+        eps, steps, shots = 0.005, 20, 1000
+        noise = NoiseModel(cnot_epsilon=eps)
+        prog = TestFusion.program("fig9", 2)
+        lay = prog.layout
+        trace = run_experiment(prog, steps, shots, seed=6, noise=noise)
+
+        maps = []
+        for ins in inject_noise(prog.step_ops, noise):
+            if ins[0] == "gate":
+                ops = [gate_matrix(ins[1], 2)]
+                targets = ins[1].targets
+            else:
+                ops, targets = channels.kraus_ops(ins[1], ins[2]), ins[3:]
+            maps.append([embed(lay, k, targets) for k in ops])
+        psi = basis_state(lay, (0,) * lay.n_subsystems)
+        for op in prog.prep_ops:
+            psi = apply_local(psi, lay, gate_matrix(op, 2), op.targets)
+        rho = np.outer(psi, psi.conj())
+        ref = []
+        for i in range(steps + 1):
+            for ops in maps if i else []:
+                rho = channels.apply_channel_dm(ops, rho)
+            ref.append([level_populations(rho.diagonal().real, lay, q)[1]
+                        for q in prog.readout])
+        se = np.maximum(trace.se, 1e-3)
+        assert np.all(np.abs(trace.p - np.array(ref)) < 4 * se)
 
 
 class TestHardwareNoise:
