@@ -50,7 +50,7 @@ from .isa import GateOp, MatrixCache, decompose_swap
 _STREAM_CHANNEL, _STREAM_NOISE, _STREAM_READOUT = 0, 1, 2
 
 _FUSE_CAP = 128   # local amplitudes of a fused kernel (BENCH_5.json sweep)
-_DRAW_BLOCK = 1 << 20   # uniforms per stream in one draw block (8 MiB)
+_DRAW_BLOCK = 1 << 17   # uniforms per stream in one draw block (1 MiB)
 
 
 @dataclass(frozen=True)
