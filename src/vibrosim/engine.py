@@ -9,7 +9,10 @@ contiguous range of shots as one vectorized batch (states stored
 column-wise) and yields the batch at t=0 and after every step.  Every shot
 consumes its own named random streams in a fixed event order, so results
 are reproducible for a given seed regardless of batch size or thread
-count, and ``run_shot`` is that loop on a single shot.
+count, and ``run_shot`` is that loop on a single shot.  A shot's uniforms
+are drawn in blocks of steps (at most ``_DRAW_BLOCK`` per stream), one
+``random((k, n))`` call per block, which yields the same numbers as ``k``
+per-step calls.
 
 The step is lowered once per run into a plan.  Measurements, resets and
 noise events are its barriers; between two of them, gates are fused
@@ -18,6 +21,14 @@ greedily into dense unitaries on at most ``_FUSE_CAP`` local amplitudes
 one jump rule (Dalibard, Castin & Molmer, PRL 68, 580 (1992)): a
 trajectory jumps to ``K_jump psi`` with probability ``||K_jump psi||^2``,
 otherwise takes ``K_stay psi``, and is renormalised; dephasing jumps at eps.
+Each pair is trace-preserving; cavity loss uses ``K_stay = sqrt(1 - p n)``.
+
+Since a step's uniforms are known before it runs, each column is screened
+first (thinning, Lewis & Shedler 1979): where every noise uniform is at or
+above its event's largest jump probability, the column cannot jump in this
+step and takes the step's gates and ``K_stay`` factors fused into a few
+kernels, then one renormalisation.  Other columns, and every column of a
+step with a measurement or reset, run the plan.
 
 Readout: at every recorded step the engine samples one Bernoulli outcome
 per readout qubit from the trajectory's conditional populations without
@@ -70,7 +81,11 @@ class NoiseModel:
     ``||K_jump psi||^2``: amp and dep from ``channels.kraus_ops``, cavity
     loss ``(sqrt(p) a, sqrt(1 - p n))``, which needs ``p (d - 1) <= 1`` at
     Fock cutoff d (a larger p raises ``ValueError`` when the step is
-    lowered) and agrees with the loss channel to first order in p.
+    lowered) and agrees with the loss channel to first order in p.  An
+    event's jump probability never exceeds its bound: eps for amp and dep,
+    ``p (d - 1)`` for loss; a trajectory whose uniforms clear every bound
+    of a step takes the fused no-jump product of that step.  Uniforms are
+    drawn per shot in blocks of steps.
     """
 
     cnot_epsilon: float = 0.0
@@ -386,11 +401,10 @@ class _Executor:
         return out
 
     def _no_jump(self, states):
+        # a column here has u_k >= bounds[k] with u_k < 1 at every event, so
+        # its no-jump probability is at least prod(1 - bounds[k]) > 0
         states = _run(self.no_jump, states, None, None)
-        norm = np.sqrt(np.sum(np.abs(states) ** 2, axis=0))
-        if not np.all(norm > 0.0):
-            raise FloatingPointError("no-jump branch has zero probability")
-        return states / norm
+        return states / np.linalg.norm(states, axis=0)
 
 
 def run_experiment(program: CompiledProgram, n_steps: int, shots: int,
