@@ -7,7 +7,8 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from vibrosim.reference import exact_evolve, lindblad_solve
+from vibrosim import hilbert, model
+from vibrosim.reference import _reachable, exact_evolve, lindblad_solve
 
 _SZ = np.diag([1.0, -1.0]).astype(np.complex128)
 _LOWER = np.array([[0, 1], [0, 0]], dtype=np.complex128)
@@ -95,3 +96,55 @@ class TestExactEvolve:
         psis = exact_evolve(h, psi0, [0.0, 1e-12])
         phase = psis[1][1] / psis[1][0]
         assert np.isclose(phase, np.exp(-1j * 1.0), atol=1e-8)
+
+
+class _PlainMatvec:
+    """An operator with ``@`` and no sparsity pattern: the full-space path."""
+
+    def __init__(self, mat):
+        self.mat = mat
+
+    def __matmul__(self, vec):
+        return self.mat @ vec
+
+
+class TestRestriction:
+    """exact_evolve runs on the components of H's pattern that psi0 meets."""
+
+    @pytest.fixture(scope="class")
+    def three_site(self):
+        terms = model.build_hamiltonian_terms(
+            model.derive_effective(model.default_params()), 3)
+        return model.total_hamiltonian(terms), terms["layout"]
+
+    @staticmethod
+    def _state(lay, *excited):
+        occ = [0] * lay.n_subsystems
+        for label in excited:
+            occ[lay.index(label)] = 1
+        return hilbert.basis_state(lay, occ)
+
+    def test_sector_is_closed_under_h(self, three_site):
+        h, lay = three_site
+        keep = _reachable(h, self._state(lay, "qa"))
+        occ = np.indices(lay.dims).reshape(lay.n_subsystems, -1)
+        qubits = [lay.index(q) for q in ("qa", "qb", "qc")]
+        sector = np.flatnonzero((occ[qubits].sum(axis=0) == 1)
+                                & (occ[lay.index("anc")] == 0))
+        assert (lay.total_dim, sector.size) == (1296, 243)
+        assert np.array_equal(keep, sector)
+        rest = np.setdiff1d(np.arange(lay.total_dim), keep)
+        leak = h[rest][:, keep]
+        assert leak.count_nonzero() == 0
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+    @pytest.mark.parametrize("excited", [[("qa",)], [("qa",), ("qa", "qb")]],
+                             ids=["one-sector", "two-sectors"])
+    def test_matches_full_space(self, three_site, excited, dense):
+        h, lay = three_site
+        psi0 = sum(self._state(lay, *e) for e in excited) / np.sqrt(len(excited))
+        times = 1e-14 * np.arange(21)
+        restricted = exact_evolve(h.toarray() if dense else h, psi0, times)
+        full = exact_evolve(_PlainMatvec(h), psi0, times)
+        assert np.abs(restricted - full).max() < 1e-12
+        assert np.allclose(np.linalg.norm(restricted, axis=1), 1.0, atol=1e-10)
