@@ -85,6 +85,9 @@ def _resolve_spec(args) -> presets.ExperimentSpec:
         if ignored:
             raise ConfigError(f"--preset {args.preset} does not use "
                               f"{', '.join(ignored)}")
+    if spec.name == "appD" and args.emit_circuit:
+        raise ConfigError("--preset appD runs a convergence sweep and writes "
+                          "no circuit; drop --emit-circuit")
     if args.config:
         try:
             spec.params = model.ChromophoreParams.from_json(args.config)

@@ -77,6 +77,11 @@ class TestConfigErrors:
                        + flag) == 2
         assert not (tmp_path / "populations.csv").exists()
 
+    def test_convergence_sweep_rejects_emit_circuit(self, tmp_path):
+        assert run_cli(["--preset", "appD", "--out", str(tmp_path),
+                        "--emit-circuit"]) == 2
+        assert not (tmp_path / "convergence.json").exists()
+
     def test_unknown_preset_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(["--preset", "nope", "--out", "x"])
