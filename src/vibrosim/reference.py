@@ -137,16 +137,11 @@ def _reachable(hmat, psi: np.ndarray):
     """Sorted indices of the union of the connected components of
     ``hmat``'s sparsity pattern, taken as undirected, that meet supp(psi);
     None for an operator without a stored pattern."""
-    if sp.issparse(hmat):
-        graph = sp.csr_matrix((np.ones(hmat.indices.size, dtype=np.int8),
-                               hmat.indices, hmat.indptr), shape=hmat.shape)
-    elif isinstance(hmat, np.ndarray):
-        graph = sp.csr_matrix(hmat != 0)
-    else:
+    if not (sp.issparse(hmat) or isinstance(hmat, np.ndarray)):
         return None
     # imported here to keep scipy.sparse.csgraph out of ``import vibrosim``
     from scipy.sparse.csgraph import connected_components
-    _, labels = connected_components(graph, directed=False)
+    _, labels = connected_components(sp.csr_matrix(hmat != 0), directed=False)
     return np.flatnonzero(np.isin(labels, labels[psi != 0]))
 
 
