@@ -17,7 +17,9 @@ per-step calls.
 The step is lowered once per run into a plan.  Measurements, resets and
 noise events are its barriers; between two of them, gates are fused
 greedily into dense unitaries on at most ``_FUSE_CAP`` local amplitudes
-(Haner & Steiger, arXiv:1704.01127).  Every hardware-noise event follows
+(Haner & Steiger, arXiv:1704.01127), each stored once in canonical form:
+ascending targets, and a diagonal block as its 1-D diagonal, so
+``apply_local`` runs it as a phase multiply.  Every hardware-noise event follows
 one jump rule (Dalibard, Castin & Molmer, PRL 68, 580 (1992)): a
 trajectory jumps to ``K_jump psi`` with probability ``||K_jump psi||^2``,
 otherwise takes ``K_stay psi``, and is renormalised; dephasing jumps at eps.
@@ -227,7 +229,9 @@ def _gate(layout, mat, targets, states, chan_u, noise_u):
 
 def _fuse(layout, gates):
     """Plan entries of a gate run ``(matrix, targets)``, fused greedily into
-    read-only blocks on at most ``_FUSE_CAP`` local amplitudes each."""
+    blocks on at most ``_FUSE_CAP`` local amplitudes each, in canonical
+    form: targets ascending, the matrix permuted to match and read-only,
+    and a block with no nonzero off-diagonal entry stored as its diagonal."""
     blocks = [((), [])]   # (sorted union of targets, gates)
     for gate in gates:
         union = sorted(set(blocks[-1][0]).union(gate[1]))
@@ -237,14 +241,18 @@ def _fuse(layout, gates):
             blocks.append((sorted(gate[1]), [gate]))
     kernels = []
     for union, block in blocks:
-        if len(block) > 1:
+        if not block:
+            continue
+        u = block[0][0]
+        if len(block) > 1 or list(block[0][1]) != union:
             sub = HilbertLayout(tuple(layout.dims[t] for t in union))
             u = np.eye(sub.total_dim, dtype=np.complex128)
             for mat, targets in block:
                 u = apply_local(u, sub, mat, [union.index(t) for t in targets])
-            u.setflags(write=False)
-            block = [(u, tuple(union))]
-        kernels += [partial(_gate, layout, *kernel) for kernel in block]
+        if np.count_nonzero(u) == np.count_nonzero(u.diagonal()):
+            u = u.diagonal().copy()
+        u.setflags(write=False)
+        kernels.append(partial(_gate, layout, u, tuple(union)))
     return kernels
 
 
@@ -260,7 +268,8 @@ def _dephase(layout, target, column, eps, states, chan_u, noise_u):
     """Dephasing: columns whose uniform is below eps take sigma_z in place."""
     cols = np.nonzero(noise_u[:, column] < eps)[0]
     if cols.size:
-        states[:, cols] = apply_local(states[:, cols], layout, SZ, (target,))
+        states[:, cols] = apply_local(states[:, cols], layout, SZ.diagonal(),
+                                      (target,))
     return states
 
 

@@ -9,7 +9,10 @@ subsystem 0 and so on.
 All statevector helpers accept either a single state of shape
 ``(total_dim,)`` or a batch of shape ``(total_dim, n_batch)`` whose columns
 are independent states; batching is how the trajectory engine amortises
-numpy dispatch overhead over many Monte-Carlo shots.
+numpy dispatch overhead over many Monte-Carlo shots.  ``apply_local`` takes
+a 1-D operator as a diagonal (one broadcast multiply) and applies a square
+one on ascending, adjacent targets as a strided matmul on a view; other
+supports move their axes to the front.
 """
 
 from __future__ import annotations
@@ -143,9 +146,16 @@ def apply_local(state: np.ndarray, layout: HilbertLayout, op: np.ndarray,
     """Apply a local operator to a state (or batch of states) in place of
     building the full matrix.
 
+    The path follows from the arguments: a 1-D ``op`` is the diagonal of the
+    local operator and is applied as one broadcast multiply over the target
+    axes; a square ``op`` on ascending, adjacent targets is one strided
+    ``(L, d_loc, R)`` matmul on a view of the state, with no copy in; any
+    other square ``op`` moves the target axes to the front first.
+
     Args:
         state: shape ``(total_dim,)`` or ``(total_dim, n_batch)``.
-        op: dense ``(d_loc, d_loc)`` operator on the target subsystems.
+        op: dense ``(d_loc, d_loc)`` operator on the target subsystems, or
+            its diagonal, shape ``(d_loc,)``.
         targets: subsystem indices, first index slowest-varying in ``op``.
 
     Returns:
@@ -155,9 +165,23 @@ def apply_local(state: np.ndarray, layout: HilbertLayout, op: np.ndarray,
     batched = state.ndim == 2
     n_batch = state.shape[1] if batched else 1
     tdims = tuple(layout.dims[t] for t in targets)
-    d_loc = int(np.prod(tdims))
-    if op.shape != (d_loc, d_loc):
+    d_loc = math.prod(tdims)
+    if op.shape not in ((d_loc,), (d_loc, d_loc)):
         raise ValueError(f"operator shape {op.shape} does not match targets {tdims}")
+
+    if op.ndim == 1:
+        shape = [1] * (layout.n_subsystems + 1)
+        for t in targets:
+            shape[t] = layout.dims[t]
+        diag = op.reshape(tdims).transpose(np.argsort(targets)).reshape(shape)
+        tensor = state.reshape(layout.dims + (n_batch,))
+        return (tensor * diag).reshape(state.shape)
+    if targets == tuple(range(targets[0], targets[0] + len(targets))):
+        left = math.prod(layout.dims[:targets[0]])
+        view = state.reshape(left, d_loc, -1)
+        if view.shape[2] == 1:   # one GEMM, not ``left`` matrix-vector products
+            return (view[..., 0] @ op.T).reshape(state.shape)
+        return np.matmul(op, view).reshape(state.shape)
 
     tensor = state.reshape(layout.dims + (n_batch,))
     tensor = np.moveaxis(tensor, targets, range(len(targets)))

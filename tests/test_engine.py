@@ -281,6 +281,30 @@ class TestFusion:
         assert np.max(np.abs(final - psi)) < 1e-12
 
 
+class TestCanonicalPlan:
+    """Every kernel of ``plan`` and ``no_jump`` is stored once in canonical
+    form: ascending targets, a read-only matrix, and a block with no
+    nonzero off-diagonal entry as its 1-D diagonal."""
+
+    @pytest.mark.parametrize("name, n_fock, noise", [
+        ("fig4", 3, NoiseModel()),
+        ("fig9", 2, NoiseModel(cnot_epsilon=1e-3)),
+        ("fig10", 2, NoiseModel(cd_enabled=True)),
+    ], ids=["fig4", "fig9", "fig10"])
+    def test_kernels_are_canonical(self, name, n_fock, noise):
+        ex = _Executor(TestFusion.program(name, n_fock), noise)
+        kernels = [e.args[1:] for e in ex.plan + ex.no_jump
+                   if e.func is _gate]
+        assert kernels and (ex.no_jump or name == "fig4")
+        for mat, targets in kernels:
+            assert list(targets) == sorted(set(targets))
+            assert not mat.flags.writeable
+            if mat.ndim == 2:
+                assert np.count_nonzero(mat - np.diag(mat.diagonal()))
+        if name == "fig4":
+            assert any(mat.ndim == 1 for mat, _ in kernels)
+
+
 class TestThinning:
     """A column whose uniforms clear every noise event's bound takes the
     fused no-jump product of the step instead of the plan."""

@@ -99,7 +99,46 @@ class TestEmbed:
             embed(lay, np.eye(2), (1,))
 
 
+@st.composite
+def local_problems(draw):
+    """A layout, targets (contiguous, sorted with gaps, or unsorted), a
+    batch width (None: a single state), a diagonal flag and a seed."""
+    dims = draw(st.lists(st.integers(2, 4), min_size=2, max_size=5))
+    order = draw(st.sampled_from(["contiguous", "sorted", "unsorted"]))
+    if order == "contiguous":
+        k = draw(st.integers(1, min(3, len(dims))))
+        lo = draw(st.integers(0, len(dims) - k))
+        targets = list(range(lo, lo + k))
+    else:
+        targets = draw(st.lists(st.integers(0, len(dims) - 1), min_size=1,
+                                max_size=3, unique=True))
+        if order == "sorted":
+            targets.sort()
+    n_batch = draw(st.sampled_from([None, 1, 3]))
+    return (tuple(dims), tuple(targets), n_batch, draw(st.booleans()),
+            draw(st.integers(0, 2**32 - 1)))
+
+
 class TestApplyLocal:
+    @given(problem=local_problems())
+    @settings(max_examples=200, deadline=None)
+    def test_every_path_matches_embed(self, problem):
+        """Diagonal, strided and general paths against the sparse lift; a
+        1-D op is the diagonal of the local operator."""
+        dims, targets, n_batch, diagonal, seed = problem
+        lay = HilbertLayout(dims)
+        rng = np.random.default_rng(seed)
+        d = int(np.prod([dims[t] for t in targets]))
+        op_shape = (d,) if diagonal else (d, d)
+        op = rng.normal(size=op_shape) + 1j * rng.normal(size=op_shape)
+        shape = (lay.total_dim,) + (() if n_batch is None else (n_batch,))
+        state = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        out = apply_local(state, lay, op, targets)
+        expected = embed(lay, np.diag(op) if diagonal else op, targets) @ state
+        assert out.shape == state.shape
+        assert np.max(np.abs(out - expected)) < 1e-12
+
+
     @pytest.mark.parametrize("targets", [(0,), (1,), (2,), (0, 2), (2, 0), (1, 2)])
     def test_matches_embed(self, targets):
         lay = HilbertLayout((2, 3, 2))
