@@ -64,6 +64,7 @@ _STREAM_CHANNEL, _STREAM_NOISE, _STREAM_READOUT = 0, 1, 2
 
 _FUSE_CAP = 128   # local amplitudes of a fused kernel (BENCH_5.json sweep)
 _DRAW_BLOCK = 1 << 17   # uniforms per stream in one draw block (1 MiB)
+_BATCH_CAP = 1 << 16    # amplitudes of one shot batch (BENCH_8.json sweep)
 
 
 @dataclass(frozen=True)
@@ -458,7 +459,7 @@ def run_experiment(program: CompiledProgram, n_steps: int, shots: int,
                     part[row[step]] = outcomes.sum(axis=1)
             return part
 
-        batch_cap = max(1, (1 << 22) // program.layout.total_dim)
+        batch_cap = max(1, _BATCH_CAP // program.layout.total_dim)
         chunks = [(lo, min(shots, lo + batch_cap))
                   for lo in range(0, shots, batch_cap)]
         if threads > 1 and len(chunks) > 1:

@@ -32,7 +32,7 @@ def tiny_program(step_ops, prep_ops=None, readout=(0,), dims=(2, 2)):
 
 
 #: Two qubits and an idle 4096-level subsystem: 2^14 amplitudes, so the
-#: engine's batch cap of 2^22 amplitudes runs 520 shots as three batches.
+#: engine's batch cap of 2^16 amplitudes runs 520 shots as 130 batches.
 WIDE_SHOTS = 520
 WIDE_NOISE = NoiseModel(cnot_epsilon=0.05)
 
@@ -102,7 +102,7 @@ class TestRunExperiment:
         a = run_experiment(sb_program, 10, 300, seed=3, threads=1)
         b = run_experiment(sb_program, 10, 300, seed=3, threads=4)
         assert np.array_equal(a.p, b.p)
-        # three batches, run in order and on two threads
+        # 130 batches, run in order and on two threads
         a = run_experiment(wide_program, 2, WIDE_SHOTS, seed=3,
                            noise=WIDE_NOISE, threads=1)
         b = run_experiment(wide_program, 2, WIDE_SHOTS, seed=3,
