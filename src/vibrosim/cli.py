@@ -128,6 +128,17 @@ def _resolve_spec(args) -> presets.ExperimentSpec:
         for s, v in store.items():
             if v < 0:
                 raise ConfigError(f"gamma_{kind}_{s} must be >= 0")
+    if spec.name == "appD":   # the sweep compares traces point by point
+        spec.record_every = 4
+        points = [presets.sweep_point(spec, "tau", v)
+                  for v in _sweep_axes(spec)["tau"]]
+        grids = {tuple(p.tau / spec.tau * np.arange(0, p.n_steps + 1,
+                                                     p.record_every))
+                 for p in points}   # in units of tau: exact, ratios are 2^k
+        if len(grids) > 1:
+            raise ConfigError(f"--steps {spec.n_steps} records the "
+                              "convergence sweep's tau, 2 tau and 4 tau runs "
+                              "on different time grids; use a multiple of 4")
     return spec
 
 
@@ -161,16 +172,18 @@ def _write_manifest(out: Path, spec: presets.ExperimentSpec, extra: dict):
                                        encoding="utf-8")
 
 
-def _run_convergence(spec: presets.ExperimentSpec, out: Path) -> dict:
-    spec.record_every = 4
-    axes = {
+def _sweep_axes(spec: presets.ExperimentSpec) -> dict:
+    return {
         "tau": [spec.tau, 2 * spec.tau, 4 * spec.tau],
         "shots": [spec.shots, spec.shots // 2, spec.shots // 4],
         "fock": [spec.n_fock, max(2, spec.n_fock - 1), 2],
     }
+
+
+def _run_convergence(spec: presets.ExperimentSpec, out: Path) -> dict:
     tables = {axis: presets.sweep_convergence(spec, axis, values,
                                               seed0=spec.seed + 100)
-              for axis, values in axes.items()}
+              for axis, values in _sweep_axes(spec).items()}
     (out / "convergence.json").write_text(
         json.dumps(tables, indent=2) + "\n", encoding="utf-8")
     with open(out / "convergence.csv", "w", encoding="utf-8") as fh:

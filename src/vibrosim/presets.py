@@ -146,6 +146,21 @@ def run_ensemble(spec: ExperimentSpec, n_runs: int, seed0: int):
     return [replace(spec, seed=seed0 + i).run() for i in range(n_runs)]
 
 
+def sweep_point(base: ExperimentSpec, axis: str, value) -> ExperimentSpec:
+    """``base`` with one sweep axis set to ``value``; on the ``tau`` axis
+    the step count and the record interval are rescaled to keep the total
+    evolved time and the recording period."""
+    if axis == "tau":
+        total = base.tau * base.n_steps
+        t_rec = base.tau * base.record_every
+        n_steps = max(1, int(round(total / value)))
+        rec = max(1, int(round(t_rec / value)))
+        return replace(base, tau=value, n_steps=n_steps, record_every=rec)
+    if axis == "shots":
+        return replace(base, shots=int(value))
+    return replace(base, n_fock=int(value))
+
+
 def sweep_convergence(base: ExperimentSpec, axis: str, values,
                       n_ensemble: int = 5, seed0: int = 100) -> dict:
     """Convergence study along one parameter axis.
@@ -162,25 +177,14 @@ def sweep_convergence(base: ExperimentSpec, axis: str, values,
     if axis not in ("tau", "shots", "fock"):
         raise ValueError(f"unknown sweep axis {axis!r}")
 
-    def configure(value) -> ExperimentSpec:
-        if axis == "tau":
-            total = base.tau * base.n_steps
-            t_rec = base.tau * base.record_every
-            n_steps = max(1, int(round(total / value)))
-            rec = max(1, int(round(t_rec / value)))
-            return replace(base, tau=value, n_steps=n_steps, record_every=rec)
-        if axis == "shots":
-            return replace(base, shots=int(value))
-        return replace(base, n_fock=int(value))
-
-    ref_spec = configure(values[0])
+    ref_spec = sweep_point(base, axis, values[0])
     ref_a = run_ensemble(ref_spec, n_ensemble, seed0)
     ref_b = run_ensemble(ref_spec, n_ensemble, seed0 + n_ensemble)
     self_rmse = ensemble_rmse(ref_a, ref_b)
 
     rmses = [self_rmse]
     for value in values[1:]:
-        group = run_ensemble(configure(value), n_ensemble,
+        group = run_ensemble(sweep_point(base, axis, value), n_ensemble,
                              seed0 + 2 * n_ensemble)
         rmses.append(ensemble_rmse(group, ref_a))
     return {

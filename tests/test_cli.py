@@ -82,6 +82,23 @@ class TestConfigErrors:
                         "--emit-circuit"]) == 2
         assert not (tmp_path / "convergence.json").exists()
 
+    @pytest.mark.parametrize("steps", ["2", "6"])
+    def test_convergence_sweep_rejects_mismatched_grids(self, tmp_path,
+                                                        capsys, steps):
+        """The tau, 2 tau and 4 tau runs would record on different grids;
+        the sweep is refused before any ensemble runs."""
+        assert run_cli(["--preset", "appD", "--out", str(tmp_path),
+                        "--steps", steps]) == 2
+        err = capsys.readouterr().err
+        assert f"--steps {steps}" in err and "different time grids" in err
+        assert not (tmp_path / "convergence.json").exists()
+
+    @pytest.mark.parametrize("steps", ["10", "12", "16"])
+    def test_convergence_grid_rule_accepts(self, steps):
+        args = cli.build_parser().parse_args(["--preset", "appD",
+                                              "--steps", steps])
+        assert cli._resolve_spec(args).n_steps == int(steps)
+
     def test_unknown_preset_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(["--preset", "nope", "--out", "x"])
