@@ -18,9 +18,9 @@ The step is lowered once per run into a plan.  Measurements, resets and
 noise events are its barriers; between two of them, gates are fused
 greedily into dense unitaries on at most ``_FUSE_CAP`` local amplitudes
 (Haner & Steiger, arXiv:1704.01127), each stored once in canonical form:
-ascending targets, and a diagonal block as its 1-D diagonal, so
-``apply_local`` runs it as a phase multiply.  Every hardware-noise event follows
-one jump rule (Dalibard, Castin & Molmer, PRL 68, 580 (1992)): a
+ascending targets, and a diagonal block as its 1-D diagonal, which
+``apply_local`` runs as a phase multiply.  Every hardware-noise event
+follows one jump rule (Dalibard, Castin & Molmer, PRL 68, 580 (1992)): a
 trajectory jumps to ``K_jump psi`` with probability ``||K_jump psi||^2``,
 otherwise takes ``K_stay psi``, and is renormalised; dephasing jumps at eps.
 Each pair is trace-preserving; cavity loss uses ``K_stay = sqrt(1 - p n)``.
