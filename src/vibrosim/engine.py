@@ -5,14 +5,29 @@ unravelling of the step's channel: unitary gates are applied
 deterministically, dilation measurements and stochastic hardware noise
 collapse the state according to per-shot random streams.  One loop,
 ``_Executor.trajectories``, advances every trajectory: it runs a
-contiguous range of shots as one vectorized batch (states stored
-column-wise) and yields the batch at t=0 and after every step.  Every shot
-consumes its own named random streams in a fixed event order, so results
-are reproducible for a given seed regardless of batch size or thread
-count, and ``run_shot`` is that loop on a single shot.  A shot's uniforms
-are drawn in blocks of steps (at most ``_DRAW_BLOCK`` per stream), one
+contiguous range of shots (a chunk) as one table, ``states`` with one
+column per distinct state and ``idx`` giving each shot's column, and yields
+the table at t=0 and after every step.  Every shot consumes its own named
+random streams in a fixed event order, so results are reproducible for a
+given seed regardless of chunking, slicing or thread count, and
+``run_shot`` is that loop on a single shot.  A shot's uniforms are drawn in
+blocks of steps (at most ``_DRAW_BLOCK`` per stream), one
 ``random((k, n))`` call per block, which yields the same numbers as ``k``
 per-step calls.
+
+Shots with the same record of clicks and jumps carry the same state, so the
+table starts as one column and grows only where shots part.  At a barrier
+the branch probability is computed once per column and every shot decides
+``u < p`` on its own uniform: a column whose shots all take one branch is
+updated in place, and the shots that disagree with it move to a copy of the
+column, appended, which takes the other branch (``_settle``; dephasing and
+the thinning screen, whose decisions do not depend on the state, split
+first, ``_split``).  No column is ever left without shots, so none is
+collapsed onto a branch that no shot took.  A chunk holds at most
+``_TABLE_CAP`` amplitudes when every shot has its own column, which bounds
+the table's memory; each step advances the table in column slices of at
+most ``_BATCH_CAP`` amplitudes, the kernel width that is cheapest per
+column.
 
 The step is lowered once per run into a plan.  Measurements, resets and
 noise events are its barriers; between two of them, gates are fused
@@ -25,22 +40,24 @@ trajectory jumps to ``K_jump psi`` with probability ``||K_jump psi||^2``,
 otherwise takes ``K_stay psi``, and is renormalised; dephasing jumps at eps.
 Each pair is trace-preserving; cavity loss uses ``K_stay = sqrt(1 - p n)``.
 
-Since a step's uniforms are known before it runs, each column is screened
+Since a step's uniforms are known before it runs, each shot is screened
 first (thinning, Lewis & Shedler 1979): where every noise uniform is at or
-above its event's largest jump probability, the column cannot jump in this
-step and takes the step's gates and ``K_stay`` factors fused into a few
-kernels, then one renormalisation.  Other columns, and every column of a
-step with a measurement or reset, run the plan.
+above its event's largest jump probability, the shot cannot jump in this
+step.  A column's cleared shots take the step's gates and ``K_stay``
+factors fused into a few kernels, then one renormalisation, as one column;
+its other shots, and every shot of a step with a measurement or reset, run
+the plan.
 
 Readout: at every recorded step the engine samples one Bernoulli outcome
-per readout qubit from the trajectory's conditional populations without
-collapsing the state.  A fresh run restarted from t=0 and measured
-terminally at that depth would produce the identical joint distribution of
-(dilation record, terminal outcome), so the per-point population
-statistics are exactly those of the terminal-measurement protocol at a
-cost linear (not quadratic) in the number of time points.  A program with
-no measurement or noise event runs the loop on shot 0 alone and samples
-the counts of all shots binomially from its populations.
+per readout qubit and shot from the conditional populations of the shot's
+column, computed once per column, without collapsing the state.  A fresh
+run restarted from t=0 and measured terminally at that depth would produce
+the identical joint distribution of (dilation record, terminal outcome), so
+the per-point population statistics are exactly those of the
+terminal-measurement protocol at a cost linear (not quadratic) in the
+number of time points.  A program with no measurement or noise event runs
+the loop on shot 0 alone and samples the counts of all shots binomially
+from its populations.
 """
 
 from __future__ import annotations
@@ -56,15 +73,15 @@ import numpy as np
 from .channels import kraus_ops
 from .compiler import CompiledProgram
 from .hilbert import SX, SZ, HilbertLayout, apply_local, basis_state, \
-    destroy, excited_populations, level_mask, level_populations, \
-    measure_qubit_batch
+    destroy, excited_populations, level_populations, measure_qubit_batch
 from .isa import GateOp, MatrixCache, decompose_swap
 
 _STREAM_CHANNEL, _STREAM_NOISE, _STREAM_READOUT = 0, 1, 2
 
 _FUSE_CAP = 128   # local amplitudes of a fused kernel (BENCH_5.json sweep)
 _DRAW_BLOCK = 1 << 17   # uniforms per stream in one draw block (1 MiB)
-_BATCH_CAP = 1 << 16    # amplitudes of one shot batch (BENCH_8.json sweep)
+_BATCH_CAP = 1 << 16    # amplitudes of one column slice (BENCH_8.json sweep)
+_TABLE_CAP = 1 << 26    # amplitudes of a chunk's shots (BENCH_9.json sweep)
 
 
 @dataclass(frozen=True)
@@ -216,16 +233,91 @@ def _draws(seed: int, lo: int, hi: int, stream: int, n: int, rows: int):
         rows -= k
 
 
-def _readout(states, program: CompiledProgram, u):
-    """Conditional readout populations ``(n_read, n_batch)`` and one
-    Bernoulli outcome per readout qubit and shot from the readout
-    uniforms ``u`` (n_batch, n_read), drawn without collapse."""
-    pops = excited_populations(states, program.layout, program.readout)
+def _readout(states, idx, program: CompiledProgram, u):
+    """Conditional readout populations of each shot ``(n_read, n_shots)``,
+    computed once per column of the table ``(states, idx)``, and one
+    Bernoulli outcome per readout qubit and shot from the readout uniforms
+    ``u`` (n_shots, n_read), drawn without collapse."""
+    pops = excited_populations(states, program.layout, program.readout)[:, idx]
     return pops, u.T < pops
 
 
-def _gate(layout, mat, targets, states, chan_u, noise_u):
-    return apply_local(states, layout, mat, targets)
+def _move(idx, moved, n_cols):
+    """Send the shots ``moved`` to new columns numbered from ``n_cols``, one
+    per column they leave; returns (the columns they leave, the new idx)."""
+    src, new = np.unique(idx[moved], return_inverse=True)
+    idx = idx.copy()
+    idx[moved] = n_cols + new
+    return src, idx
+
+
+def _split(states, idx, flags):
+    """Give every column one value of the per-shot ``flags``.
+
+    A column takes the flag of one of its shots; the shots that disagree
+    move to a copy of the column, appended.  Returns ``(states, idx, flag
+    per column)``; with no disagreement the table is returned as it is.
+    """
+    col = np.empty(states.shape[1], dtype=bool)
+    col[idx] = flags
+    moved = np.nonzero(flags != col[idx])[0]
+    if moved.size:
+        src, idx = _move(idx, moved, col.size)
+        states = np.concatenate((states, states[:, src]), axis=1)
+        col = np.concatenate((col, ~col[src]))
+    return states, idx, col
+
+
+def _settle(branch, states, idx, u):
+    """Apply a stochastic barrier to a table, keeping every shot on its own
+    branch.
+
+    ``branch(states, u_col) -> (jumped, out, p)`` sends column j down the
+    jump branch where ``u_col[j] < p[j]`` and returns the new columns out of
+    place.  Each column draws the uniform of one of its shots; the shots
+    whose own uniform falls on the other side of ``p`` move to a copy of the
+    column taken before the barrier, which ``branch`` sends down the other
+    branch (a uniform of 0 jumps wherever p > 0, one of 2 never does).
+    """
+    u_col = np.empty(states.shape[1])
+    u_col[idx] = u
+    jumped, out, p = branch(states, u_col)
+    moved = np.nonzero((u < p[idx]) != jumped[idx])[0]
+    if moved.size:
+        src, idx = _move(idx, moved, out.shape[1])
+        _, copies, _ = branch(states[:, src], np.where(jumped[src], 2.0, 0.0))
+        out = np.concatenate((out, copies), axis=1)
+    return out, idx
+
+
+def _each(states, idx, groups, advance):
+    """Advance the columns of each group as a table of their own.
+
+    ``groups`` labels every column; ``advance(label, states, idx, shots)``
+    gets the group's columns, its shots (positions in ``idx``) and their
+    indices into those columns, and returns the group's new table, whose
+    first columns are its input columns in order and the rest copies.  Each
+    group is written back in place, so ``states`` is overwritten, and the
+    copies are appended.
+    """
+    copies, out_idx, width = [], idx.copy(), states.shape[1]
+    for label in np.unique(groups):
+        cols = np.nonzero(groups == label)[0]
+        shots = np.nonzero(groups[idx] == label)[0]
+        part, sub = advance(label, states[:, cols],
+                            np.searchsorted(cols, idx[shots]), shots)
+        states[:, cols] = part[:, :cols.size]
+        out_idx[shots] = np.concatenate(
+            (cols, np.arange(width, width + part.shape[1] - cols.size)))[sub]
+        width += part.shape[1] - cols.size
+        copies.append(part[:, cols.size:])
+    if width > states.shape[1]:
+        states = np.concatenate([states] + copies, axis=1)
+    return states, out_idx
+
+
+def _gate(layout, mat, targets, states, idx, chan_u, noise_u):
+    return apply_local(states, layout, mat, targets), idx
 
 
 def _fuse(layout, gates):
@@ -257,21 +349,27 @@ def _fuse(layout, gates):
     return kernels
 
 
-def _measure(layout, qubit, mask, column, reset, states, chan_u, noise_u):
-    outcomes, states = measure_qubit_batch(states, mask, chan_u[:, column])
-    cols = np.nonzero(outcomes)[0]
-    if reset and cols.size:
-        states[:, cols] = apply_local(states[:, cols], layout, SX, (qubit,))
-    return states
+def _measure(layout, qubit, column, reset, states, idx, chan_u, noise_u):
+    """Measurement of ``qubit``; a reset flips the columns that read 1."""
+    def collapse(states, u):
+        outcomes, states, p1 = measure_qubit_batch(states, layout, qubit, u)
+        cols = np.nonzero(outcomes)[0]
+        if reset and cols.size:
+            states[:, cols] = apply_local(states[:, cols], layout, SX,
+                                          (qubit,))
+        return outcomes, states, p1
+    return _settle(collapse, states, idx, chan_u[:, column])
 
 
-def _dephase(layout, target, column, eps, states, chan_u, noise_u):
-    """Dephasing: columns whose uniform is below eps take sigma_z in place."""
-    cols = np.nonzero(noise_u[:, column] < eps)[0]
-    if cols.size:
+def _dephase(layout, target, column, eps, states, idx, chan_u, noise_u):
+    """Dephasing: shots whose uniform is below eps take sigma_z, in place."""
+    flip = noise_u[:, column] < eps
+    if flip.any():
+        states, idx, flip = _split(states, idx, flip)
+        cols = np.nonzero(flip)[0]
         states[:, cols] = apply_local(states[:, cols], layout, SZ.diagonal(),
                                       (target,))
-    return states
+    return states, idx
 
 
 def _kraus_pair(ins, layout):
@@ -287,42 +385,52 @@ def _kraus_pair(ins, layout):
     return math.sqrt(p) * destroy(d), np.sqrt(1.0 - p * np.arange(d))
 
 
-def _jump(layout, target, column, k_jump, k_stay, states, chan_u, noise_u):
+def _jump(layout, target, column, k_jump, k_stay, states, idx, chan_u,
+          noise_u):
     """Noise event: Kraus pair ``(k_jump, diag k_stay)`` on ``target``.
 
     A column jumps where its uniform is below ``||k_jump psi||^2`` (read off
     the level populations: ``k_jump^+ k_jump`` is diagonal), else it takes
     ``k_stay``; each column is divided by sqrt(its branch probability).
     """
-    d, n_batch = layout.dims[target], states.shape[1]
-    left = math.prod(layout.dims[:target])
-    pops = level_populations(np.abs(states) ** 2, layout, target)
-    p_jump = np.sum(np.abs(k_jump) ** 2, axis=0) @ pops
-    jump = noise_u[:, column] < p_jump
-    p_branch = np.where(jump, p_jump, np.abs(k_stay) ** 2 @ pops)
-    if not np.all(p_branch > 0.0):
-        raise FloatingPointError("noise event took a zero-probability branch")
-    norm = 1.0 / np.sqrt(p_branch)
-    out = states.reshape(left, d, -1, n_batch) * (k_stay[:, None, None] * norm)
-    cols = np.nonzero(jump)[0]
-    if cols.size:
-        jumped = k_jump @ states[:, cols].reshape(left, d, -1)
-        out[..., cols] = jumped.reshape(left, d, -1, cols.size) * norm[cols]
-    return out.reshape(states.shape)
+    d, left = layout.dims[target], math.prod(layout.dims[:target])
+
+    def branch(states, u):
+        n_cols = states.shape[1]
+        pops = level_populations(np.abs(states) ** 2, layout, target)
+        p_jump = np.sum(np.abs(k_jump) ** 2, axis=0) @ pops
+        jump = u < p_jump
+        p_branch = np.where(jump, p_jump, np.abs(k_stay) ** 2 @ pops)
+        if not np.all(p_branch > 0.0):
+            raise FloatingPointError(
+                "noise event took a zero-probability branch")
+        norm = 1.0 / np.sqrt(p_branch)
+        out = states.reshape(left, d, -1, n_cols) * (k_stay[:, None, None]
+                                                     * norm)
+        cols = np.nonzero(jump)[0]
+        if cols.size:
+            jumped = k_jump @ states[:, cols].reshape(left, d, -1)
+            out[..., cols] = jumped.reshape(left, d, -1, cols.size) * norm[cols]
+        return jump, out.reshape(states.shape), p_jump
+    return _settle(branch, states, idx, noise_u[:, column])
 
 
-def _run(entries, states, chan_u, noise_u):
+def _run(entries, states, idx, chan_u, noise_u):
     for entry in entries:
-        states = entry(states, chan_u, noise_u)
-    return states
+        states, idx = entry(states, idx, chan_u, noise_u)
+    return states, idx
 
 
 class _Executor:
     """Advances trajectories of one program under one noise model.
 
-    ``plan`` holds one ``entry(states, chan_u, noise_u) -> states`` per
-    fused kernel or barrier; ``chan_u``/``noise_u`` are a step's per-shot
-    uniforms, shape (n_batch, n_events), and each barrier reads its column.
+    Trajectories live in a table: ``states`` (total_dim, n_cols) holds one
+    column per distinct state and ``idx`` (n_shots,) the column of each
+    shot.  ``plan`` holds one ``entry(states, idx, chan_u, noise_u) ->
+    (states, idx)`` per fused kernel or barrier; ``chan_u``/``noise_u`` are
+    a step's per-shot uniforms, shape (n_shots, n_events), and each barrier
+    reads its column.  An entry may overwrite ``states``; it keeps every
+    column in its place and appends the copies it makes.
     ``bounds[k]`` is the largest jump probability of noise event k, the
     largest diagonal entry of ``K_jump^+ K_jump``, and ``no_jump`` holds the
     step's gates and ``K_stay`` factors in order, fused.  A step with a
@@ -345,8 +453,7 @@ class _Executor:
                 continue
             for ins in group:
                 if ins[0] in ("measure", "reset"):
-                    entry = partial(_measure, lay, ins[1],
-                                    level_mask(lay, ins[1], 1), self.n_meas,
+                    entry = partial(_measure, lay, ins[1], self.n_meas,
                                     ins[0] == "reset")
                     self.n_meas += 1
                 else:
@@ -374,46 +481,61 @@ class _Executor:
         self.psi0 = psi
 
     def trajectories(self, lo: int, hi: int, seed: int, n_steps: int):
-        """Run shots ``[lo, hi)`` as one batch for ``n_steps`` steps.
+        """Run shots ``[lo, hi)`` as one table for ``n_steps`` steps.
 
-        Yields ``(step, states)`` at t=0 and after every step, one column
-        per shot.  Shot ``s`` draws its measurement and noise uniforms from
-        its own named streams, so its trajectory does not depend on the
-        batch it runs in.
+        Yields ``(step, states, idx)`` at t=0 and after every step: shot
+        ``lo + s`` is column ``idx[s]`` of ``states``.  The table starts as
+        one column, and a column is copied only where its shots take
+        different branches.  Shot ``s`` draws its measurement and noise
+        uniforms from its own named streams, so its trajectory does not
+        depend on the shots it runs with.
         """
         chan = _draws(seed, lo, hi, _STREAM_CHANNEL, self.n_meas, n_steps)
         noise = _draws(seed, lo, hi, _STREAM_NOISE, self.n_noise, n_steps)
-        states = np.repeat(self.psi0[:, None], hi - lo, axis=1)
-        yield 0, states
+        states = self.psi0[:, None].copy()
+        idx = np.zeros(hi - lo, dtype=np.intp)
+        yield 0, states, idx
         for step, chan_u, noise_u in zip(range(1, n_steps + 1), chan, noise):
-            states = self.step(states, chan_u, noise_u)
-            yield step, states
+            states, idx = self.step(states, idx, chan_u, noise_u)
+            yield step, states, idx
 
-    def step(self, states, chan_u, noise_u):
-        """Advance a batch by one step.
+    def step(self, states, idx, chan_u, noise_u):
+        """Advance the table ``(states, idx)`` by one step, in column slices
+        of at most ``_BATCH_CAP`` amplitudes; returns the new table and may
+        overwrite ``states``."""
+        width = max(1, _BATCH_CAP // len(states))
+        if states.shape[1] <= width:
+            return self._advance(states, idx, chan_u, noise_u)
+        return _each(states, idx, np.arange(states.shape[1]) // width,
+                     lambda _, states, idx, shots: self._advance(
+                         states, idx, chan_u[shots], noise_u[shots]))
 
-        A column whose uniform clears every noise event's bound,
+    def _advance(self, states, idx, chan_u, noise_u):
+        """One step of one slice.
+
+        A shot whose uniforms clear every noise event's bound,
         ``u_k >= bounds[k]``, cannot jump anywhere in the step (thinning:
-        Lewis & Shedler, Naval Res. Logist. Q. 26, 403 (1979)); it takes
-        ``no_jump`` and one renormalisation.  Every other column runs the
-        plan.
+        Lewis & Shedler, Naval Res. Logist. Q. 26, 403 (1979)).  A column's
+        cleared shots take ``no_jump`` and one renormalisation as one
+        column; its other shots run the plan.
         """
         fast = np.all(noise_u >= self.bounds, axis=1) if self.no_jump else ()
         if not np.any(fast):
-            return _run(self.plan, states, chan_u, noise_u)
+            return _run(self.plan, states, idx, chan_u, noise_u)
         if fast.all():
-            return self._no_jump(states)
-        out = np.empty_like(states)
-        out[:, fast] = self._no_jump(states[:, fast])
-        slow = ~fast
-        out[:, slow] = _run(self.plan, states[:, slow], chan_u[slow],
-                            noise_u[slow])
-        return out
+            return self._no_jump(states), idx
+        states, idx, fast = _split(states, idx, fast)
+
+        def advance(is_fast, states, idx, shots):
+            if is_fast:
+                return self._no_jump(states), idx
+            return _run(self.plan, states, idx, chan_u[shots], noise_u[shots])
+        return _each(states, idx, fast, advance)
 
     def _no_jump(self, states):
         # a column here has u_k >= bounds[k] with u_k < 1 at every event, so
         # its no-jump probability is at least prod(1 - bounds[k]) > 0
-        states = _run(self.no_jump, states, None, None)
+        states, _ = _run(self.no_jump, states, None, None, None)
         return states / np.linalg.norm(states, axis=0)
 
 
@@ -441,7 +563,7 @@ def run_experiment(program: CompiledProgram, n_steps: int, shots: int,
     if not executor.stochastic:
         # every shot follows shot 0: sample all shots' counts at once
         rng = _shot_generator(seed, 0, _STREAM_READOUT)
-        for step, states in executor.trajectories(0, 1, seed, last):
+        for step, states, _ in executor.trajectories(0, 1, seed, last):
             if step in row:
                 pops = excited_populations(states, program.layout,
                                            program.readout)[:, 0]
@@ -453,15 +575,16 @@ def run_experiment(program: CompiledProgram, n_steps: int, shots: int,
             part = np.zeros_like(counts)
             read_u = _draws(seed, lo, hi, _STREAM_READOUT, n_read,
                             len(record_steps))
-            for step, states in executor.trajectories(lo, hi, seed, last):
+            for step, states, idx in executor.trajectories(lo, hi, seed,
+                                                           last):
                 if step in row:
-                    _, outcomes = _readout(states, program, next(read_u))
+                    _, outcomes = _readout(states, idx, program, next(read_u))
                     part[row[step]] = outcomes.sum(axis=1)
             return part
 
-        batch_cap = max(1, _BATCH_CAP // program.layout.total_dim)
-        chunks = [(lo, min(shots, lo + batch_cap))
-                  for lo in range(0, shots, batch_cap)]
+        chunk = max(1, _TABLE_CAP // program.layout.total_dim)
+        chunks = [(lo, min(shots, lo + chunk))
+                  for lo in range(0, shots, chunk)]
         if threads > 1 and len(chunks) > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 counts = sum(pool.map(run_chunk, chunks))
@@ -494,11 +617,12 @@ def run_shot(program: CompiledProgram, n_steps: int, seed: int,
     read_u = _draws(seed, shot_index, shot_index + 1, _STREAM_READOUT,
                     len(program.readout), n_steps)
     pops, outcomes = [], []
-    for step, states in executor.trajectories(shot_index, shot_index + 1,
-                                              seed, n_steps):
+    for step, states, idx in executor.trajectories(shot_index,
+                                                   shot_index + 1, seed,
+                                                   n_steps):
         if step:
-            p, out = _readout(states, program, next(read_u))
+            p, out = _readout(states, idx, program, next(read_u))
             pops.append(p[:, 0])
             outcomes.append(out[:, 0].astype(int))
     return {"populations": np.array(pops), "outcomes": np.array(outcomes),
-            "final_state": states[:, 0]}
+            "final_state": states[:, idx[0]]}

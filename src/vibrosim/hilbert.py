@@ -223,24 +223,30 @@ def excited_populations(state: np.ndarray, layout: HilbertLayout,
     return np.array([level_populations(prob, layout, t)[1] for t in targets])
 
 
-def measure_qubit_batch(states: np.ndarray, mask: np.ndarray,
+def measure_qubit_batch(states: np.ndarray, layout: HilbertLayout, qubit: int,
                         uniforms: np.ndarray):
-    """Vectorized projective measurement across a batch.
+    """Vectorized projective measurement of ``qubit`` across a batch.
+
+    One pass over ``|states|^2`` gives each column's level populations; a
+    column reads 1 where its uniform is below ``p1 = P(qubit = 1)``, and its
+    kept branch is scaled by 1/sqrt(the branch's population).
 
     Args:
-        states: shape ``(total_dim, n_batch)``, modified out of place.
-        mask: boolean mask of the excited subspace of the measured qubit.
+        states: shape ``(total_dim, n_batch)``, not modified.
+        qubit: index of a two-level subsystem.
         uniforms: one uniform [0,1) draw per column.
 
     Returns:
-        (outcomes, collapsed_states) with outcomes an int array ``(n_batch,)``.
+        ``(outcomes, collapsed_states, p1)``: outcomes an int8 array
+        ``(n_batch,)`` and ``p1`` the populations before the measurement.
     """
-    prob = np.abs(states) ** 2
-    p1 = mask @ prob
-    outcomes = (uniforms < p1).astype(np.int8)
-    keep = np.where(outcomes[None, :] == 1, mask[:, None], ~mask[:, None])
-    collapsed = np.where(keep, states, 0.0)
-    norms = np.sqrt(np.sum(np.abs(collapsed) ** 2, axis=0))
-    if np.any(norms == 0.0):
+    n_batch = states.shape[1]
+    pops = level_populations(np.abs(states) ** 2, layout, qubit)
+    outcomes = (uniforms < pops[1]).astype(np.int8)
+    p_branch = np.where(outcomes, pops[1], pops[0])
+    if not np.all(p_branch > 0.0):
         raise FloatingPointError("measurement collapsed onto a zero branch")
-    return outcomes, collapsed / norms[None, :]
+    scale = (np.arange(2)[:, None] == outcomes) / np.sqrt(p_branch)
+    left = math.prod(layout.dims[:qubit])
+    collapsed = states.reshape(left, 2, -1, n_batch) * scale[:, None]
+    return outcomes, collapsed.reshape(states.shape), pops[1]

@@ -1,5 +1,7 @@
 """Unit tests of the shot-sampled trajectory engine."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -31,9 +33,11 @@ def tiny_program(step_ops, prep_ops=None, readout=(0,), dims=(2, 2)):
                            metadata={"readout_labels": ("1",)})
 
 
-#: Two qubits and an idle 4096-level subsystem: 2^14 amplitudes, so the
-#: engine's batch cap of 2^16 amplitudes runs 520 shots as 130 batches.
+#: Two qubits and an idle 4096-level subsystem: 2^14 amplitudes.  The
+#: engine's table cap of 2^26 amplitudes runs 520 such shots as one chunk,
+#: so the tests that split them lower it to ``WIDE_CAP`` (three chunks).
 WIDE_SHOTS = 520
+WIDE_CAP = 1 << 22
 WIDE_NOISE = NoiseModel(cnot_epsilon=0.05)
 
 
@@ -98,11 +102,13 @@ class TestRunExperiment:
             run_experiment(sb_program, -1, 10, 0)
 
     def test_reproducible_across_threads_and_batches(self, sb_program,
-                                                     wide_program):
+                                                     wide_program,
+                                                     monkeypatch):
         a = run_experiment(sb_program, 10, 300, seed=3, threads=1)
         b = run_experiment(sb_program, 10, 300, seed=3, threads=4)
         assert np.array_equal(a.p, b.p)
-        # 130 batches, run in order and on two threads
+        # three chunks, run in order and on two threads
+        monkeypatch.setattr(engine, "_TABLE_CAP", WIDE_CAP)
         a = run_experiment(wide_program, 2, WIDE_SHOTS, seed=3,
                            noise=WIDE_NOISE, threads=1)
         b = run_experiment(wide_program, 2, WIDE_SHOTS, seed=3,
@@ -124,6 +130,21 @@ class TestRunExperiment:
         monkeypatch.setattr(engine, "_DRAW_BLOCK", 5000)
         assert np.array_equal(run_experiment(prog, 12, 300, seed=4).p,
                               full.p)
+
+    @pytest.mark.parametrize("name, noise", [
+        ("fig5", NoiseModel()),
+        ("fig9", NoiseModel(cnot_epsilon=0.02)),
+    ], ids=["fig5", "fig9"])
+    def test_chunks_and_slices_are_invisible(self, name, noise, monkeypatch):
+        """Shots run in chunks of at most ``_TABLE_CAP`` amplitudes and each
+        table in column slices of at most ``_BATCH_CAP``: chunks of 16 shots
+        and one-column slices give the counts of one 40-shot table."""
+        prog = TestFusion.program(name, 2)
+        full = run_experiment(prog, 6, 40, seed=4, noise=noise)
+        monkeypatch.setattr(engine, "_TABLE_CAP", 16 * prog.layout.total_dim)
+        monkeypatch.setattr(engine, "_BATCH_CAP", prog.layout.total_dim)
+        assert np.array_equal(run_experiment(prog, 6, 40, seed=4,
+                                             noise=noise).p, full.p)
 
     def test_seed_changes_counts(self, sb_program):
         a = run_experiment(sb_program, 5, 200, seed=1)
@@ -245,7 +266,7 @@ class TestFusion:
 
         def planned(entry):
             name, args = entry.func.__name__, entry.args
-            return (name, args[1], args[4]) if entry.func is _measure \
+            return (name, args[1], args[3]) if entry.func is _measure \
                 else (name, args[1])
 
         assert [planned(e) for e in plan if e.func is not _gate] == \
@@ -358,9 +379,10 @@ class TestThinning:
         states /= np.linalg.norm(states, axis=0)
         noise_u = ex.bounds + (1.0 - ex.bounds) * rng.random((nb, ex.n_noise))
         noise_u[0] = ex.bounds   # the bound itself clears
-        chan_u = np.empty((nb, 0))
-        fast = ex.step(states.copy(), chan_u, noise_u)
-        slow = _run(ex.plan, states.copy(), chan_u, noise_u)
+        chan_u, idx = np.empty((nb, 0)), np.arange(nb)
+        fast, fast_idx = ex.step(states.copy(), idx, chan_u, noise_u)
+        slow, slow_idx = _run(ex.plan, states.copy(), idx, chan_u, noise_u)
+        fast, slow = fast[:, fast_idx], slow[:, slow_idx]   # column per shot
         assert np.max(np.abs(fast - slow)) < 1e-12
         assert np.allclose(np.linalg.norm(fast, axis=0), 1.0, atol=1e-14)
 
@@ -440,7 +462,7 @@ class TestHardwareNoise:
         excited = basis_state(lay, (1, 0))[:, None]
         with pytest.raises(FloatingPointError):
             _jump(lay, 0, 0, np.zeros((2, 2)), np.array([1.0, 0.0]),
-                  excited, None, np.array([[0.5]]))
+                  excited, np.array([0]), None, np.array([[0.5]]))
 
 
 class TestTraceAndCsv:
@@ -473,13 +495,29 @@ class TestRunShot:
         assert np.isclose(np.linalg.norm(rec["final_state"]), 1.0)
 
     def test_matches_engine_stream_convention(self, sb_program):
-        """Single-shot records add up to the counts of the batched engine."""
-        trace = run_experiment(sb_program, 30, 40, seed=11, include_t0=False)
-        outcomes = sum(run_shot(sb_program, 30, seed=11, shot_index=i)
-                       ["outcomes"] for i in range(40))
-        assert np.array_equal(np.rint(trace.p * 40), outcomes)
+        """Single-shot records add up to the counts of the batched engine:
+        on fig3, and at cutoff 2 on fig5, fig9 at eps = 0.02 and fig10 with
+        cavity loss raised until it fires.  At cutoff 2 the loss probability
+        per photon cannot exceed 1, and fig10's modes hold about 1e-4
+        photons, so its modes are displaced first."""
+        fig10 = TestFusion.program("fig10", 2)
+        fig10 = replace(fig10, prep_ops=fig10.prep_ops + [
+            GateOp("D", (mode,), (0.8,)) for mode in range(4, 8)])
+        cases = [(sb_program, NoiseModel(), 30, 40),
+                 (TestFusion.program("fig5", 2), NoiseModel(), 8, 40),
+                 (TestFusion.program("fig9", 2),
+                  NoiseModel(cnot_epsilon=0.02), 6, 30),
+                 (fig10, NoiseModel(cd_enabled=True, kappa_1c=1e9), 6, 30)]
+        for prog, noise, steps, shots in cases:
+            trace = run_experiment(prog, steps, shots, seed=11, noise=noise,
+                                   include_t0=False)
+            outcomes = sum(run_shot(prog, steps, seed=11, shot_index=i,
+                                    noise=noise)["outcomes"]
+                           for i in range(shots))
+            assert np.array_equal(np.rint(trace.p * shots), outcomes)
 
-    def test_matches_split_batches(self, wide_program):
+    def test_matches_split_batches(self, wide_program, monkeypatch):
+        monkeypatch.setattr(engine, "_TABLE_CAP", WIDE_CAP)
         trace = run_experiment(wide_program, 2, WIDE_SHOTS, seed=5,
                                noise=WIDE_NOISE, include_t0=False)
         outcomes = sum(run_shot(wide_program, 2, seed=5, shot_index=i,
@@ -494,3 +532,39 @@ class TestRunShot:
         psi = run_shot(prog, 1, seed=0)["final_state"]
         assert np.isclose(excited_populations(psi, lay, (0,))[0], 0.0)
         assert np.isclose(excited_populations(psi, lay, (1,))[0], 1.0)
+
+
+class TestDedup:
+    """Shots with the same measurement and jump record share one column."""
+
+    def test_one_column_per_record(self, monkeypatch):
+        """fig5 at cutoff 2, 256 shots: after every step the table has one
+        column per distinct record (the outcomes of the shot's resets so
+        far, logged while it runs alone), no column holds two records, and
+        each shot's column is the state it reaches alone."""
+        prog = TestFusion.program("fig5", 2)
+        ex = _Executor(prog, NoiseModel())
+        shots, steps, seed = 256, 8, 0
+        measure, log = engine.measure_qubit_batch, []
+
+        def logged(*args):
+            out = measure(*args)
+            log.extend(out[0])
+            return out
+        monkeypatch.setattr(engine, "measure_qubit_batch", logged)
+        records, alone = [], []
+        for s in range(shots):
+            log.clear()
+            alone.append([states[:, 0].copy() for _, states, _ in
+                          ex.trajectories(s, s + 1, seed, steps)])
+            records.append(tuple(log))
+        monkeypatch.undo()
+        alone = np.array(alone)
+
+        for step, states, idx in ex.trajectories(0, shots, seed, steps):
+            record = [r[:step * ex.n_meas] for r in records]
+            assert states.shape[1] == len(set(record))
+            for col in range(states.shape[1]):
+                assert len({record[s] for s in np.nonzero(idx == col)[0]}) == 1
+            assert np.max(np.abs(states[:, idx].T - alone[:, step])) < 1e-12
+        assert states.shape[1] <= shots // 10

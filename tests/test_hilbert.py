@@ -204,8 +204,8 @@ class TestMeasurement:
         psi = (basis_state(lay, (0, 0)) + basis_state(lay, (1, 1))) / np.sqrt(2)
         # one column per branch: u = 0.25 < p1 reads 1, u = 0.75 reads 0
         batch = np.stack([psi, psi], axis=1)
-        outcomes, collapsed = measure_qubit_batch(
-            batch, level_mask(lay, 0, 1), np.array([0.25, 0.75]))
+        outcomes, collapsed, _ = measure_qubit_batch(
+            batch, lay, 0, np.array([0.25, 0.75]))
         assert list(outcomes) == [1, 0]
         # the partner qubit is perfectly correlated
         pops = excited_populations(collapsed, lay, (1,))
@@ -217,8 +217,7 @@ class TestMeasurement:
         psi = np.array([np.sqrt(0.3), np.sqrt(0.7)], dtype=np.complex128)
         rng = np.random.default_rng(42)
         batch = np.repeat(psi[:, None], 4000, axis=1)
-        outcomes, _ = measure_qubit_batch(batch, level_mask(lay, 0, 1),
-                                          rng.random(4000))
+        outcomes, _, _ = measure_qubit_batch(batch, lay, 0, rng.random(4000))
         hits = outcomes.sum()
         assert abs(hits / 4000 - 0.7) < 3 * np.sqrt(0.7 * 0.3 / 4000)
 
@@ -228,10 +227,14 @@ class TestMeasurement:
         batch = np.stack([random_state(lay, rng) for _ in range(8)], axis=1)
         mask = level_mask(lay, 0, 1)
         uniforms = rng.random(8)
-        outcomes, collapsed = measure_qubit_batch(batch.copy(), mask, uniforms)
+        before = batch.copy()
+        outcomes, collapsed, p1_out = measure_qubit_batch(batch, lay, 0,
+                                                          uniforms)
+        assert np.array_equal(batch, before)   # out of place
         prob = np.abs(batch) ** 2
         p1 = mask @ prob
         assert np.array_equal(outcomes, (uniforms < p1).astype(np.int8))
+        assert np.allclose(p1_out, p1, rtol=0, atol=1e-15)
         norms = np.sqrt(np.sum(np.abs(collapsed) ** 2, axis=0))
         assert np.allclose(norms, 1.0)
         # collapsed states live entirely in the measured branch
@@ -242,6 +245,5 @@ class TestMeasurement:
     def test_zero_branch_raises(self):
         lay = HilbertLayout((2,))
         states = np.array([[1.0], [0.0]], dtype=np.complex128)
-        mask = level_mask(lay, 0, 1)
         with pytest.raises(FloatingPointError):
-            measure_qubit_batch(np.zeros_like(states), mask, np.array([0.5]))
+            measure_qubit_batch(np.zeros_like(states), lay, 0, np.array([0.5]))
