@@ -16,17 +16,21 @@ blocks of steps (at most ``_DRAW_BLOCK`` per stream), one
 per-step calls.
 
 Shots with the same record of clicks and jumps carry the same state, so the
-table starts as one column and grows only where shots part.  At a barrier
-the branch probability is computed once per column and every shot decides
-``u < p`` on its own uniform: a column whose shots all take one branch is
-updated in place, and the shots that disagree with it move to a copy of the
-column, appended, which takes the other branch (``_settle``; dephasing and
-the thinning screen, whose decisions do not depend on the state, split
-first, ``_split``).  No column is ever left without shots, so none is
-collapsed onto a branch that no shot took.  A chunk holds at most
-``_TABLE_CAP`` amplitudes when every shot has its own column, which bounds
-the table's memory; each step advances the table in column slices of at
-most ``_BATCH_CAP`` amplitudes, the kernel width that is cheapest per
+table starts as one column and grows only where shots part.  Every barrier
+decides per shot, on the shot's own uniform, and ``_split``, the only code
+that copies a column, gives every column one decision: the shots that
+disagree with their column move to a copy of it, appended.  A measurement,
+reset or state-dependent noise event computes each column's level
+populations in one pass over ``|psi|^2`` and its jump probability ``p = w @
+pops``, ``w`` the diagonal of ``K_jump^+ K_jump`` fixed at lowering; a shot
+jumps where ``u < p`` of its column, a copy reuses its source's
+populations, and each column is then collapsed once (``_decide``).
+Dephasing and the thinning screen decide against constants and need no
+populations.  No column is ever left without shots, so none is collapsed
+onto a branch that no shot took.  A chunk holds at most ``_TABLE_CAP``
+amplitudes when every shot has its own column, which bounds the table's
+memory; each step, and each readout, runs on the table in column slices of
+at most ``_BATCH_CAP`` amplitudes, the kernel width that is cheapest per
 column.
 
 The step is lowered once per run into a plan.  Measurements, resets and
@@ -237,71 +241,69 @@ def _readout(states, idx, program: CompiledProgram, u):
     """Conditional readout populations of each shot ``(n_read, n_shots)``,
     computed once per column of the table ``(states, idx)``, and one
     Bernoulli outcome per readout qubit and shot from the readout uniforms
-    ``u`` (n_shots, n_read), drawn without collapse."""
-    pops = excited_populations(states, program.layout, program.readout)[:, idx]
+    ``u`` (n_shots, n_read), drawn without collapse.  The populations are
+    computed in column slices of at most ``_BATCH_CAP`` amplitudes, so
+    squaring the table never doubles it."""
+    width = max(1, _BATCH_CAP // len(states))
+    pops = np.concatenate([
+        excited_populations(states[:, lo:lo + width], program.layout,
+                            program.readout)
+        for lo in range(0, states.shape[1], width)], axis=1)[:, idx]
     return pops, u.T < pops
-
-
-def _move(idx, moved, n_cols):
-    """Send the shots ``moved`` to new columns numbered from ``n_cols``, one
-    per column they leave; returns (the columns they leave, the new idx)."""
-    src, new = np.unique(idx[moved], return_inverse=True)
-    idx = idx.copy()
-    idx[moved] = n_cols + new
-    return src, idx
 
 
 def _split(states, idx, flags):
     """Give every column one value of the per-shot ``flags``.
 
     A column takes the flag of one of its shots; the shots that disagree
-    move to a copy of the column, appended.  Returns ``(states, idx, flag
-    per column)``; with no disagreement the table is returned as it is.
+    move to a copy of the column, appended, one per column they leave.
+    Returns ``(states, idx, flag per column, source column of each
+    column)``; with no disagreement the table is returned as it is.
     """
     col = np.empty(states.shape[1], dtype=bool)
     col[idx] = flags
+    src = np.arange(col.size)
     moved = np.nonzero(flags != col[idx])[0]
     if moved.size:
-        src, idx = _move(idx, moved, col.size)
-        states = np.concatenate((states, states[:, src]), axis=1)
-        col = np.concatenate((col, ~col[src]))
-    return states, idx, col
+        copied, new = np.unique(idx[moved], return_inverse=True)
+        idx = idx.copy()
+        idx[moved] = col.size + new
+        states = np.concatenate((states, states[:, copied]), axis=1)
+        col = np.concatenate((col, ~col[copied]))
+        src = np.concatenate((src, copied))
+    return states, idx, col, src
 
 
-def _settle(branch, states, idx, u):
-    """Apply a stochastic barrier to a table, keeping every shot on its own
-    branch.
+def _decide(layout, target, w, u, states, idx):
+    """The decision of a barrier that reads the state.
 
-    ``branch(states, u_col) -> (jumped, out, p)`` sends column j down the
-    jump branch where ``u_col[j] < p[j]`` and returns the new columns out of
-    place.  Each column draws the uniform of one of its shots; the shots
-    whose own uniform falls on the other side of ``p`` move to a copy of the
-    column taken before the barrier, which ``branch`` sends down the other
-    branch (a uniform of 0 jumps wherever p > 0, one of 2 never does).
+    One pass over ``|states|^2`` gives each column's level populations of
+    ``target`` and its jump probability ``p = w @ pops``; each shot jumps
+    where its uniform ``u < p`` of its column, and ``_split`` gives every
+    column one decision.  Returns ``(states, idx, jump per column, level
+    populations per column)``; a copy carries its source's populations.
     """
-    u_col = np.empty(states.shape[1])
-    u_col[idx] = u
-    jumped, out, p = branch(states, u_col)
-    moved = np.nonzero((u < p[idx]) != jumped[idx])[0]
-    if moved.size:
-        src, idx = _move(idx, moved, out.shape[1])
-        _, copies, _ = branch(states[:, src], np.where(jumped[src], 2.0, 0.0))
-        out = np.concatenate((out, copies), axis=1)
-    return out, idx
+    pops = level_populations(np.abs(states) ** 2, layout, target)
+    states, idx, jump, src = _split(states, idx, u < (w @ pops)[idx])
+    return states, idx, jump, pops.take(src, axis=1)
 
 
 def _each(states, idx, groups, advance):
     """Advance the columns of each group as a table of their own.
 
-    ``groups`` labels every column; ``advance(label, states, idx, shots)``
-    gets the group's columns, its shots (positions in ``idx``) and their
-    indices into those columns, and returns the group's new table, whose
-    first columns are its input columns in order and the rest copies.  Each
-    group is written back in place, so ``states`` is overwritten, and the
-    copies are appended.
+    ``groups`` labels every column with a small non-negative integer;
+    ``advance(label, states, idx, shots)`` gets the group's columns, its
+    shots (positions in ``idx``) and their indices into those columns, and
+    returns the group's new table, whose first columns are its input
+    columns in order and the rest copies.  Each group is written back in
+    place, so ``states`` is overwritten, and the copies are appended.  A
+    single group is advanced as the table itself.
     """
+    labels = np.flatnonzero(np.bincount(groups))
+    if labels.size == 1:
+        return advance(labels[0], states, idx, slice(None))
     copies, out_idx, width = [], idx.copy(), states.shape[1]
-    for label in np.unique(groups):
+    for label in labels:
         cols = np.nonzero(groups == label)[0]
         shots = np.nonzero(groups[idx] == label)[0]
         part, sub = advance(label, states[:, cols],
@@ -310,7 +312,8 @@ def _each(states, idx, groups, advance):
         out_idx[shots] = np.concatenate(
             (cols, np.arange(width, width + part.shape[1] - cols.size)))[sub]
         width += part.shape[1] - cols.size
-        copies.append(part[:, cols.size:])
+        if part.shape[1] > cols.size:   # an empty view would keep part alive
+            copies.append(part[:, cols.size:])
     if width > states.shape[1]:
         states = np.concatenate([states] + copies, axis=1)
     return states, out_idx
@@ -351,21 +354,21 @@ def _fuse(layout, gates):
 
 def _measure(layout, qubit, column, reset, states, idx, chan_u, noise_u):
     """Measurement of ``qubit``; a reset flips the columns that read 1."""
-    def collapse(states, u):
-        outcomes, states, p1 = measure_qubit_batch(states, layout, qubit, u)
-        cols = np.nonzero(outcomes)[0]
-        if reset and cols.size:
-            states[:, cols] = apply_local(states[:, cols], layout, SX,
-                                          (qubit,))
-        return outcomes, states, p1
-    return _settle(collapse, states, idx, chan_u[:, column])
+    # reading 1 is the jump: w = diag(P1^+ P1) = (0, 1)
+    states, idx, ones, pops = _decide(layout, qubit, np.array([0.0, 1.0]),
+                                      chan_u[:, column], states, idx)
+    states = measure_qubit_batch(states, layout, qubit, ones, pops)
+    cols = np.nonzero(ones)[0]
+    if reset and cols.size:
+        states[:, cols] = apply_local(states[:, cols], layout, SX, (qubit,))
+    return states, idx
 
 
 def _dephase(layout, target, column, eps, states, idx, chan_u, noise_u):
     """Dephasing: shots whose uniform is below eps take sigma_z, in place."""
     flip = noise_u[:, column] < eps
     if flip.any():
-        states, idx, flip = _split(states, idx, flip)
+        states, idx, flip, _ = _split(states, idx, flip)
         cols = np.nonzero(flip)[0]
         states[:, cols] = apply_local(states[:, cols], layout, SZ.diagonal(),
                                       (target,))
@@ -385,34 +388,29 @@ def _kraus_pair(ins, layout):
     return math.sqrt(p) * destroy(d), np.sqrt(1.0 - p * np.arange(d))
 
 
-def _jump(layout, target, column, k_jump, k_stay, states, idx, chan_u,
+def _jump(layout, target, column, k_jump, k_stay, w, states, idx, chan_u,
           noise_u):
     """Noise event: Kraus pair ``(k_jump, diag k_stay)`` on ``target``.
 
-    A column jumps where its uniform is below ``||k_jump psi||^2`` (read off
-    the level populations: ``k_jump^+ k_jump`` is diagonal), else it takes
-    ``k_stay``; each column is divided by sqrt(its branch probability).
+    ``w`` is the diagonal of ``k_jump^+ k_jump``, so a column's jump
+    probability is ``w`` dotted with its level populations.  A column that
+    jumps takes ``k_jump``, the others ``k_stay``; each column is divided
+    by sqrt(its branch probability).
     """
-    d, left = layout.dims[target], math.prod(layout.dims[:target])
-
-    def branch(states, u):
-        n_cols = states.shape[1]
-        pops = level_populations(np.abs(states) ** 2, layout, target)
-        p_jump = np.sum(np.abs(k_jump) ** 2, axis=0) @ pops
-        jump = u < p_jump
-        p_branch = np.where(jump, p_jump, np.abs(k_stay) ** 2 @ pops)
-        if not np.all(p_branch > 0.0):
-            raise FloatingPointError(
-                "noise event took a zero-probability branch")
-        norm = 1.0 / np.sqrt(p_branch)
-        out = states.reshape(left, d, -1, n_cols) * (k_stay[:, None, None]
-                                                     * norm)
-        cols = np.nonzero(jump)[0]
-        if cols.size:
-            jumped = k_jump @ states[:, cols].reshape(left, d, -1)
-            out[..., cols] = jumped.reshape(left, d, -1, cols.size) * norm[cols]
-        return jump, out.reshape(states.shape), p_jump
-    return _settle(branch, states, idx, noise_u[:, column])
+    states, idx, jump, pops = _decide(layout, target, w, noise_u[:, column],
+                                      states, idx)
+    n_cols, d = states.shape[1], layout.dims[target]
+    p_branch = np.where(jump, w @ pops, np.abs(k_stay) ** 2 @ pops)
+    if not np.all(p_branch > 0.0):
+        raise FloatingPointError("noise event took a zero-probability branch")
+    norm = 1.0 / np.sqrt(p_branch)
+    left = math.prod(layout.dims[:target])
+    out = states.reshape(left, d, -1, n_cols) * (k_stay[:, None, None] * norm)
+    cols = np.nonzero(jump)[0]
+    if cols.size:
+        jumped = k_jump @ states[:, cols].reshape(left, d, -1)
+        out[..., cols] = jumped.reshape(left, d, -1, cols.size) * norm[cols]
+    return out.reshape(states.shape), idx
 
 
 def _run(entries, states, idx, chan_u, noise_u):
@@ -462,11 +460,11 @@ class _Executor:
                         entry = partial(_dephase, lay, ins[-1], self.n_noise,
                                         ins[2])
                         bounds.append(ins[2])
-                    else:
+                    else:   # w = diag(k_jump^+ k_jump)
+                        w = np.sum(np.abs(k_jump) ** 2, axis=0)
                         entry = partial(_jump, lay, ins[-1], self.n_noise,
-                                        k_jump, k_stay)
-                        bounds.append(np.max(np.sum(np.abs(k_jump) ** 2,
-                                                    axis=0)))
+                                        k_jump, k_stay, w)
+                        bounds.append(w.max())
                     stay.append((np.diag(k_stay), (ins[-1],)))
                     self.n_noise += 1
                 self.plan.append(entry)
@@ -500,37 +498,26 @@ class _Executor:
             yield step, states, idx
 
     def step(self, states, idx, chan_u, noise_u):
-        """Advance the table ``(states, idx)`` by one step, in column slices
-        of at most ``_BATCH_CAP`` amplitudes; returns the new table and may
-        overwrite ``states``."""
-        width = max(1, _BATCH_CAP // len(states))
-        if states.shape[1] <= width:
-            return self._advance(states, idx, chan_u, noise_u)
-        return _each(states, idx, np.arange(states.shape[1]) // width,
-                     lambda _, states, idx, shots: self._advance(
-                         states, idx, chan_u[shots], noise_u[shots]))
-
-    def _advance(self, states, idx, chan_u, noise_u):
-        """One step of one slice.
+        """Advance the table ``(states, idx)`` by one step; returns the new
+        table and may overwrite ``states``.
 
         A shot whose uniforms clear every noise event's bound,
         ``u_k >= bounds[k]``, cannot jump anywhere in the step (thinning:
         Lewis & Shedler, Naval Res. Logist. Q. 26, 403 (1979)).  A column's
         cleared shots take ``no_jump`` and one renormalisation as one
-        column; its other shots run the plan.
+        column; its other shots run the plan.  Both advance in column
+        slices of at most ``_BATCH_CAP`` amplitudes.
         """
-        fast = np.all(noise_u >= self.bounds, axis=1) if self.no_jump else ()
-        if not np.any(fast):
-            return _run(self.plan, states, idx, chan_u, noise_u)
-        if fast.all():
-            return self._no_jump(states), idx
-        states, idx, fast = _split(states, idx, fast)
+        fast = np.all(noise_u >= self.bounds, axis=1) & bool(self.no_jump)
+        states, idx, fast, _ = _split(states, idx, fast)
+        width = max(1, _BATCH_CAP // len(states))
+        groups = 2 * (np.arange(states.shape[1]) // width) + fast
 
-        def advance(is_fast, states, idx, shots):
-            if is_fast:
+        def advance(group, states, idx, shots):
+            if group % 2:
                 return self._no_jump(states), idx
             return _run(self.plan, states, idx, chan_u[shots], noise_u[shots])
-        return _each(states, idx, fast, advance)
+        return _each(states, idx, groups, advance)
 
     def _no_jump(self, states):
         # a column here has u_k >= bounds[k] with u_k < 1 at every event, so

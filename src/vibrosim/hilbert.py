@@ -193,15 +193,6 @@ def apply_local(state: np.ndarray, layout: HilbertLayout, op: np.ndarray,
     return out if batched else out[:, 0]
 
 
-def level_mask(layout: HilbertLayout, target: int, level: int = 1) -> np.ndarray:
-    """Boolean mask over the flattened basis where ``target`` occupies ``level``."""
-    occ = np.zeros(layout.dims, dtype=bool)
-    index = [slice(None)] * layout.n_subsystems
-    index[target] = level
-    occ[tuple(index)] = True
-    return occ.ravel()
-
-
 def level_populations(prob: np.ndarray, layout: HilbertLayout,
                       target: int) -> np.ndarray:
     """Occupation of each level of ``target`` from ``prob = |state|^2``,
@@ -224,29 +215,26 @@ def excited_populations(state: np.ndarray, layout: HilbertLayout,
 
 
 def measure_qubit_batch(states: np.ndarray, layout: HilbertLayout, qubit: int,
-                        uniforms: np.ndarray):
-    """Vectorized projective measurement of ``qubit`` across a batch.
+                        outcomes: np.ndarray, pops: np.ndarray) -> np.ndarray:
+    """Vectorized projective collapse of ``qubit`` across a batch.
 
-    One pass over ``|states|^2`` gives each column's level populations; a
-    column reads 1 where its uniform is below ``p1 = P(qubit = 1)``, and its
-    kept branch is scaled by 1/sqrt(the branch's population).
+    Column j keeps its branch ``outcomes[j]`` of ``qubit``, scaled by
+    1/sqrt(the branch's population).
 
     Args:
         states: shape ``(total_dim, n_batch)``, not modified.
         qubit: index of a two-level subsystem.
-        uniforms: one uniform [0,1) draw per column.
+        outcomes: the outcome (0/1 or bool) of each column.
+        pops: ``level_populations(|states|^2, layout, qubit)``, shape
+            ``(2, n_batch)``.
 
     Returns:
-        ``(outcomes, collapsed_states, p1)``: outcomes an int8 array
-        ``(n_batch,)`` and ``p1`` the populations before the measurement.
+        The collapsed states, shape ``(total_dim, n_batch)``.
     """
-    n_batch = states.shape[1]
-    pops = level_populations(np.abs(states) ** 2, layout, qubit)
-    outcomes = (uniforms < pops[1]).astype(np.int8)
     p_branch = np.where(outcomes, pops[1], pops[0])
     if not np.all(p_branch > 0.0):
         raise FloatingPointError("measurement collapsed onto a zero branch")
     scale = (np.arange(2)[:, None] == outcomes) / np.sqrt(p_branch)
     left = math.prod(layout.dims[:qubit])
-    collapsed = states.reshape(left, 2, -1, n_batch) * scale[:, None]
-    return outcomes, collapsed.reshape(states.shape), pops[1]
+    collapsed = states.reshape(left, 2, -1, states.shape[1]) * scale[:, None]
+    return collapsed.reshape(states.shape)

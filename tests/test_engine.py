@@ -12,7 +12,7 @@ from vibrosim.engine import (NoiseModel, _Executor, _gate, _jump,
                              _kraus_pair, _measure, _run, inject_noise,
                              run_experiment, run_shot)
 from vibrosim.hilbert import (HilbertLayout, apply_local, basis_state,
-                              destroy, embed, excited_populations, level_mask,
+                              destroy, embed, excited_populations,
                               level_populations)
 from vibrosim.isa import GateOp, gate_matrix
 from vibrosim.model import SpinBosonParams, default_params, derive_effective
@@ -47,6 +47,15 @@ def wide_program():
            GateOp("RESET", (1,))]
     return tiny_program(ops, prep_ops=[GateOp("H", (0,))], readout=(0, 1),
                         dims=(2, 2, 4096))
+
+
+def lossy_fig10():
+    """fig10 at cutoff 2 with its modes displaced by D(0.8): undisplaced
+    they hold about 1e-4 photons, and at cutoff 2 the loss probability per
+    photon cannot exceed 1, so loss would hardly fire."""
+    prog = TestFusion.program("fig10", 2)
+    return replace(prog, prep_ops=prog.prep_ops + [
+        GateOp("D", (mode,), (0.8,)) for mode in range(4, 8)])
 
 
 class TestNoiseModel:
@@ -166,6 +175,16 @@ class TestRunExperiment:
         se = np.sqrt(0.25 / 4000)
         assert np.all(np.abs(trace.p - 0.5) < 4 * se)
 
+    def test_measure_statistics(self):
+        """A MEASURE of a qubit with p1 = 0.7 reads 1 in 70% of 4,000
+        shots, within 3 sigma: the collapsed qubit's readout is its
+        outcome."""
+        ry = GateOp("RY", (0,), (2.0 * np.arcsin(np.sqrt(0.7)),))
+        prog = tiny_program([GateOp("MEASURE", (0,))], prep_ops=[ry],
+                            dims=(2,))
+        trace = run_experiment(prog, 1, 4000, seed=42)
+        assert abs(trace.p[1, 0] - 0.7) < 3 * np.sqrt(0.7 * 0.3 / 4000)
+
     def test_deterministic_path_binomial_se(self):
         prog = tiny_program([GateOp("X", (0,))])
         trace = run_experiment(prog, 1, 500, seed=0)
@@ -226,12 +245,11 @@ class TestCavityLoss:
         rho = np.outer(psi, psi.conj())
         u = ops_to_unitary(step, lay, n_fock)
         jump = np.sqrt(noise.kappa_1c) * np.kron(np.eye(2), destroy(n_fock))
-        excited = level_mask(lay, 0, 1)
-        ref = [rho.diagonal()[excited].sum().real]
+        ref = [level_populations(rho.diagonal().real, lay, 0)[1]]
         for _ in range(steps):
             rho = lindblad_solve(np.zeros_like(rho), [jump],
                                  u @ rho @ u.conj().T, [0.0, beta])[-1]
-            ref.append(rho.diagonal()[excited].sum().real)
+            ref.append(level_populations(rho.diagonal().real, lay, 0)[1])
         se = np.maximum(trace.se[:, 0], 1e-3)
         assert np.all(np.abs(trace.p[:, 0] - np.array(ref)) < 4 * se)
 
@@ -462,7 +480,8 @@ class TestHardwareNoise:
         excited = basis_state(lay, (1, 0))[:, None]
         with pytest.raises(FloatingPointError):
             _jump(lay, 0, 0, np.zeros((2, 2)), np.array([1.0, 0.0]),
-                  excited, np.array([0]), None, np.array([[0.5]]))
+                  np.zeros(2), excited, np.array([0]), None,
+                  np.array([[0.5]]))
 
 
 class TestTraceAndCsv:
@@ -497,17 +516,13 @@ class TestRunShot:
     def test_matches_engine_stream_convention(self, sb_program):
         """Single-shot records add up to the counts of the batched engine:
         on fig3, and at cutoff 2 on fig5, fig9 at eps = 0.02 and fig10 with
-        cavity loss raised until it fires.  At cutoff 2 the loss probability
-        per photon cannot exceed 1, and fig10's modes hold about 1e-4
-        photons, so its modes are displaced first."""
-        fig10 = TestFusion.program("fig10", 2)
-        fig10 = replace(fig10, prep_ops=fig10.prep_ops + [
-            GateOp("D", (mode,), (0.8,)) for mode in range(4, 8)])
+        cavity loss raised until it fires."""
         cases = [(sb_program, NoiseModel(), 30, 40),
                  (TestFusion.program("fig5", 2), NoiseModel(), 8, 40),
                  (TestFusion.program("fig9", 2),
                   NoiseModel(cnot_epsilon=0.02), 6, 30),
-                 (fig10, NoiseModel(cd_enabled=True, kappa_1c=1e9), 6, 30)]
+                 (lossy_fig10(), NoiseModel(cd_enabled=True, kappa_1c=1e9),
+                  6, 30)]
         for prog, noise, steps, shots in cases:
             trace = run_experiment(prog, steps, shots, seed=11, noise=noise,
                                    include_t0=False)
@@ -548,9 +563,8 @@ class TestDedup:
         measure, log = engine.measure_qubit_batch, []
 
         def logged(*args):
-            out = measure(*args)
-            log.extend(out[0])
-            return out
+            log.extend(args[3])   # the outcome of each column
+            return measure(*args)
         monkeypatch.setattr(engine, "measure_qubit_batch", logged)
         records, alone = [], []
         for s in range(shots):
@@ -568,3 +582,25 @@ class TestDedup:
                 assert len({record[s] for s in np.nonzero(idx == col)[0]}) == 1
             assert np.max(np.abs(states[:, idx].T - alone[:, step])) < 1e-12
         assert states.shape[1] <= shots // 10
+
+    @pytest.mark.parametrize("name, noise", [
+        ("fig6", NoiseModel()),
+        ("fig9", NoiseModel(cnot_epsilon=0.02)),
+        ("fig10", NoiseModel(cd_enabled=True, kappa_1c=1e9)),
+    ], ids=["fig6", "fig9", "fig10"])
+    def test_table_invariant(self, name, noise):
+        """At cutoff 2, through every kind of barrier (fig6: dephasing
+        dilations; fig9: thinning, amp and dep; fig10: cavity loss), every
+        column holds at least one shot after every step, and each shot's
+        column is the state the shot reaches alone."""
+        prog = lossy_fig10() if name == "fig10" else \
+            TestFusion.program(name, 2)
+        ex = _Executor(prog, noise)
+        shots, steps, seed = 40, 6, 0
+        alone = np.array([[states[:, 0].copy() for _, states, _ in
+                           ex.trajectories(s, s + 1, seed, steps)]
+                          for s in range(shots)])
+        for step, states, idx in ex.trajectories(0, shots, seed, steps):
+            assert np.array_equal(np.unique(idx), np.arange(states.shape[1]))
+            assert np.max(np.abs(states[:, idx].T - alone[:, step])) < 1e-12
+        assert states.shape[1] > 1

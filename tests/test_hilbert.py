@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vibrosim.hilbert import (HilbertLayout, apply_local, basis_state, embed,
-                              excited_populations, level_mask,
-                              level_populations, measure_qubit_batch)
+                              excited_populations, level_populations,
+                              measure_qubit_batch)
 
 
 def random_state(layout, rng):
@@ -173,12 +173,6 @@ class TestApplyLocal:
 
 
 class TestMeasurement:
-    def test_level_mask_counts(self):
-        lay = HilbertLayout((2, 3))
-        mask = level_mask(lay, 1, 2)
-        assert mask.sum() == 2
-        assert mask[2] and mask[5]
-
     def test_excited_populations(self):
         lay = HilbertLayout((2, 2))
         psi = (basis_state(lay, (0, 0)) + basis_state(lay, (1, 1))) / np.sqrt(2)
@@ -191,59 +185,49 @@ class TestMeasurement:
         rng = np.random.default_rng(target)
         batch = np.stack([random_state(lay, rng) for _ in range(5)], axis=1)
         prob = np.abs(batch) ** 2
-        masked = [level_mask(lay, target, k) @ prob
-                  for k in range(lay.dims[target])]
+        others = tuple(i for i in range(lay.n_subsystems) if i != target)
+        masked = prob.reshape(lay.dims + (5,)).sum(axis=others)
         assert np.allclose(level_populations(prob, lay, target), masked,
                            rtol=0, atol=1e-14)
         assert np.allclose(level_populations(prob[:, 3], lay, target),
-                           np.array(masked)[:, 3], rtol=0, atol=1e-14)
+                           masked[:, 3], rtol=0, atol=1e-14)
         assert excited_populations(batch, lay, (target,)).shape == (1, 5)
 
     def test_measure_collapses_bell_state(self):
         lay = HilbertLayout((2, 2))
         psi = (basis_state(lay, (0, 0)) + basis_state(lay, (1, 1))) / np.sqrt(2)
-        # one column per branch: u = 0.25 < p1 reads 1, u = 0.75 reads 0
+        # one column per branch: the first reads 1, the second 0
         batch = np.stack([psi, psi], axis=1)
-        outcomes, collapsed, _ = measure_qubit_batch(
-            batch, lay, 0, np.array([0.25, 0.75]))
-        assert list(outcomes) == [1, 0]
+        pops = level_populations(np.abs(batch) ** 2, lay, 0)
+        outcomes = np.array([1, 0])
+        collapsed = measure_qubit_batch(batch, lay, 0, outcomes, pops)
         # the partner qubit is perfectly correlated
-        pops = excited_populations(collapsed, lay, (1,))
-        assert np.allclose(pops[0], outcomes)
+        partner = excited_populations(collapsed, lay, (1,))
+        assert np.allclose(partner[0], outcomes)
         assert np.allclose(np.linalg.norm(collapsed, axis=0), 1.0)
-
-    def test_measure_statistics(self):
-        lay = HilbertLayout((2,))
-        psi = np.array([np.sqrt(0.3), np.sqrt(0.7)], dtype=np.complex128)
-        rng = np.random.default_rng(42)
-        batch = np.repeat(psi[:, None], 4000, axis=1)
-        outcomes, _, _ = measure_qubit_batch(batch, lay, 0, rng.random(4000))
-        hits = outcomes.sum()
-        assert abs(hits / 4000 - 0.7) < 3 * np.sqrt(0.7 * 0.3 / 4000)
 
     def test_measure_batch_matches_single(self):
         lay = HilbertLayout((2, 2))
         rng = np.random.default_rng(5)
         batch = np.stack([random_state(lay, rng) for _ in range(8)], axis=1)
-        mask = level_mask(lay, 0, 1)
-        uniforms = rng.random(8)
-        before = batch.copy()
-        outcomes, collapsed, p1_out = measure_qubit_batch(batch, lay, 0,
-                                                          uniforms)
-        assert np.array_equal(batch, before)   # out of place
+        outcomes = rng.random(8) < 0.5
         prob = np.abs(batch) ** 2
-        p1 = mask @ prob
-        assert np.array_equal(outcomes, (uniforms < p1).astype(np.int8))
-        assert np.allclose(p1_out, p1, rtol=0, atol=1e-15)
+        pops = prob.reshape(2, 2, 8).sum(axis=1)
+        before = batch.copy()
+        collapsed = measure_qubit_batch(batch, lay, 0, outcomes, pops)
+        assert np.array_equal(batch, before)   # out of place
         norms = np.sqrt(np.sum(np.abs(collapsed) ** 2, axis=0))
         assert np.allclose(norms, 1.0)
-        # collapsed states live entirely in the measured branch
+        # each column is its measured branch, renormalised
         for k in range(8):
-            branch = mask if outcomes[k] else ~mask
-            assert np.allclose(collapsed[~branch, k], 0.0)
+            branch = batch[:, k].reshape(2, 2).copy()
+            branch[1 - int(outcomes[k])] = 0.0
+            expected = branch.ravel() / np.linalg.norm(branch)
+            assert np.allclose(collapsed[:, k], expected, rtol=0, atol=1e-15)
 
     def test_zero_branch_raises(self):
         lay = HilbertLayout((2,))
-        states = np.array([[1.0], [0.0]], dtype=np.complex128)
+        states = np.zeros((2, 1), dtype=np.complex128)
+        pops = level_populations(np.abs(states) ** 2, lay, 0)
         with pytest.raises(FloatingPointError):
-            measure_qubit_batch(np.zeros_like(states), lay, 0, np.array([0.5]))
+            measure_qubit_batch(states, lay, 0, np.array([0]), pops)
